@@ -6,17 +6,25 @@ maintain the per-node social views, run the forwarding protocol over every
 in-range pair in ascending pair order, then expire TTLs.  The run ends when
 every generated message has been delivered or has no live copy anywhere.
 
-Link weights for all node pairs are evaluated every tick through a
-vectorized cache of each window's gap decomposition; the cache shares its
-arithmetic with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both
-paths produce bit-identical values (the ``validate`` config flag makes the
-engine assert exactly that, and disables the incremental maintain
-scheduling in favour of maintaining every node every hello tick).
+Contact detection never looks at all n^2 pairs: a sort and sweep on x
+yields the candidate pairs whose x gap is within range (a conservative
+superset), and only those get the exact squared-distance test.  The tracker
+keeps state for open contacts only.
+
+Link weights are cached per slot, one slot per directed pair that has a
+contact window; each tick evaluates the slots' gap decompositions in one
+vectorized pass and scatters them into the dense ``weights``/``friends``
+matrices, whose other entries stay zero.  The cache shares its arithmetic
+with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both paths
+produce bit-identical values (the ``validate`` config flag makes the engine
+assert exactly that, and disables the incremental maintain scheduling in
+favour of maintaining every node every hello tick).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import IO, Sequence
@@ -25,7 +33,14 @@ import numpy as np
 
 from dtnsim.contacts import MAX_WEIGHT, ContactWindow
 from dtnsim.graph import NodeId
-from dtnsim.mobility import Arena, Trace, WaypointParams, generate_trace, load_trace
+from dtnsim.mobility import (
+    Arena,
+    Trace,
+    WaypointParams,
+    check_finite,
+    generate_trace,
+    load_trace,
+)
 from dtnsim.routing import (
     Action,
     Buffer,
@@ -93,6 +108,10 @@ class SimConfig:
             ("missed_hello_limit", self.missed_hello_limit),
             ("tick", self.tick),
         ]
+        finite = positive + [("pause", self.pause), ("threshold", self.threshold)]
+        for name, value in finite:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         for name, value in positive:
             if value <= 0:
                 raise ValueError(f"{name} must be positive (got {value})")
@@ -141,6 +160,9 @@ class ContactTracker:
     A pair enters contact at the first tick within range (the first hello)
     and leaves it after ``missed_hello_limit`` consecutive ticks out of
     range, with the departure stamped at the first missed tick.
+
+    Only open contacts are stored.  Candidate pairs come from a sort and
+    sweep on x, so a tick costs O(n log n + candidates) rather than n^2.
     """
 
     def __init__(
@@ -150,50 +172,70 @@ class ContactTracker:
         self.range_sq = comm_range * comm_range
         self.limit = missed_hello_limit
         self.tick = tick
-        self.in_contact = np.zeros((node_count, node_count), dtype=bool)
-        self.miss = np.zeros((node_count, node_count), dtype=np.int64)
-        self.first_miss = np.zeros((node_count, node_count))
-        self._upper = np.triu(np.ones((node_count, node_count), dtype=bool), k=1)
+        # Sweep reach on x.  A pair passing the exact test in _in_range has
+        # fl(dx*dx) <= range_sq, so its true x gap is at most sqrt(range_sq)
+        # times (1 + a few ulps), plus under 1e-161 where dx*dx underflows.
+        # The padding covers both: the sweep may admit extra candidates but
+        # never drops an in-range pair.
+        self.reach = math.sqrt(self.range_sq) * (1.0 + 1e-9) + 1e-150
+        self._positions = np.arange(node_count)
+        self._after = self._positions + 1
+        #: open contacts: (u, v) with u < v -> [consecutive misses, first miss]
+        self.open: dict[tuple[NodeId, NodeId], list] = {}
+
+    def _in_range(self, coords: np.ndarray) -> list[tuple[NodeId, NodeId]]:
+        """Ascending ``(u, v)``, ``u < v``, within range at ``coords``.
+
+        ``coords`` must be finite: the sweep orders nodes by x.
+        """
+        order = np.argsort(coords[:, 0], kind="stable")
+        ordered = coords[order]
+        xs = ordered[:, 0]
+        # sorted position p pairs with every q in (p, stop[p])
+        stop = np.searchsorted(xs, xs + self.reach, side="right")
+        counts = stop - self._after
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if total == 0:
+            return []
+        p = np.repeat(self._positions, counts)
+        q = np.arange(total) + np.repeat(stop - ends, counts)
+        # squares are exact under negation, so the orientation of d is moot
+        d = ordered[p] - ordered[q]
+        hit = (d * d).sum(axis=1) <= self.range_sq
+        if not hit.any():
+            return []
+        a = order[p[hit]].tolist()
+        b = order[q[hit]].tolist()
+        return sorted((x, y) if x < y else (y, x) for x, y in zip(a, b))
 
     def update(self, coords: np.ndarray, now: float):
-        """Returns (events, in_range matrix) for this tick."""
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist_sq = (diff * diff).sum(axis=2)
-        in_range = dist_sq <= self.range_sq
-        np.fill_diagonal(in_range, False)
+        """Returns (events, in-range pairs) for this tick.
 
+        Departures come first, then encounters, each in ascending pair order.
+        """
+        pairs = self._in_range(coords)
         events: list[ContactEvent] = []
-
-        missing = self.in_contact & ~in_range
-        if missing.any():
-            fresh_miss = missing & (self.miss == 0)
-            self.first_miss[fresh_miss] = now
-            self.miss[missing] += 1
-            self.miss[self.in_contact & in_range] = 0
-            departed = missing & (self.miss >= self.limit)
-            if departed.any():
-                for u, v in np.argwhere(departed & self._upper):
-                    events.append(
-                        ContactEvent(
-                            ContactEventKind.DEPART,
-                            (int(u), int(v)),
-                            float(self.first_miss[u, v]),
-                        )
-                    )
-                self.in_contact[departed] = False
-                self.miss[departed] = 0
-        elif self.in_contact.any():
-            self.miss[self.in_contact & in_range] = 0
-
-        encountered = in_range & ~self.in_contact
-        if encountered.any():
-            for u, v in np.argwhere(encountered & self._upper):
-                events.append(
-                    ContactEvent(ContactEventKind.ENCOUNTER, (int(u), int(v)), now)
-                )
-            self.in_contact[encountered] = True
-
-        return events, in_range
+        current = set(pairs)
+        departed = []
+        for pair, state in self.open.items():
+            if pair in current:
+                state[0] = 0
+                continue
+            if state[0] == 0:
+                state[1] = now
+            state[0] += 1
+            if state[0] >= self.limit:
+                departed.append(pair)
+        for pair in sorted(departed):
+            events.append(
+                ContactEvent(ContactEventKind.DEPART, pair, self.open.pop(pair)[1])
+            )
+        for pair in pairs:
+            if pair not in self.open:
+                self.open[pair] = [0, now]
+                events.append(ContactEvent(ContactEventKind.ENCOUNTER, pair, now))
+        return events, pairs
 
 
 def schedule_messages(config: SimConfig, seed: int | None = None) -> list[Message]:
@@ -221,6 +263,20 @@ def schedule_messages(config: SimConfig, seed: int | None = None) -> list[Messag
             Message(id=mid, src=src, dst=dst, created_at=created, ttl=config.ttl)
         )
     return messages
+
+
+#: weight-cache slot arrays: attribute -> (dtype, fill for unused capacity)
+_SLOT_ARRAYS = {
+    "_fs": (float, 0.0),
+    "_le": (float, 0.0),
+    "_mid": (float, 0.0),
+    "_open": (bool, False),
+    "_empty": (bool, False),
+    "_refresh_at": (float, math.inf),
+    "_was_friend": (bool, False),
+    "_row": (np.intp, 0),
+    "_cell": (np.intp, 0),
+}
 
 
 class _Node:
@@ -259,6 +315,8 @@ class Simulation:
     ) -> None:
         config.check()
         self.cfg = config
+        if trace is not None:
+            check_finite(trace)
         self.trace = trace if trace is not None else self._default_trace()
         if self.trace.node_count != config.node_count:
             raise ValueError(
@@ -274,19 +332,17 @@ class Simulation:
         )
 
         n = config.node_count
-        self._fs = np.zeros((n, n))
-        self._le = np.zeros((n, n))
-        self._mid = np.zeros((n, n))
-        self._open = np.zeros((n, n), dtype=bool)
-        self._empty = np.zeros((n, n), dtype=bool)
-        self._haswin = np.zeros((n, n), dtype=bool)
-        self._refresh_at = np.full((n, n), np.inf)
-        self._next_refresh = float("inf")
-        self._upper = np.triu(np.ones((n, n), dtype=bool), k=1)
         self.weights = np.zeros((n, n))
         self.friends = np.zeros((n, n), dtype=bool)
-        self._prev_friends = np.zeros((n, n), dtype=bool)
         self._dirty = np.zeros(n, dtype=bool)
+        # Weight cache: one slot per directed pair (i, j) that has a contact
+        # window, in creation order.  Slot arrays have spare capacity beyond
+        # len(self._slot_win); see _new_slot.
+        self._slot: dict[tuple[NodeId, NodeId], int] = {}
+        self._slot_win: list[ContactWindow] = []
+        for name, (dtype, fill) in _SLOT_ARRAYS.items():
+            setattr(self, name, np.full(0, fill, dtype=dtype))
+        self._next_refresh = float("inf")
 
         self.delivered: set[int] = set()
         self.delivered_to: dict[NodeId, set[int]] = {i: set() for i in range(n)}
@@ -338,35 +394,54 @@ class Simulation:
 
     # -- weight cache ------------------------------------------------------------
 
-    def _refresh_pair(self, i: NodeId, j: NodeId, now: float) -> None:
-        win = self.nodes[i].windows[j]
+    def _new_slot(self, i: NodeId, j: NodeId, win: ContactWindow) -> int:
+        slot = len(self._slot_win)
+        if slot == len(self._row):
+            size = max(16, 2 * slot)
+            for name, (dtype, fill) in _SLOT_ARRAYS.items():
+                grown = np.full(size, fill, dtype=dtype)
+                grown[:slot] = getattr(self, name)
+                setattr(self, name, grown)
+        self._slot[i, j] = slot
+        self._slot_win.append(win)
+        self._row[slot] = i
+        self._cell[slot] = i * self.cfg.node_count + j
+        return slot
+
+    def _refresh_slot(self, slot: int, now: float) -> None:
+        win = self._slot_win[slot]
         win.slide(now)
         state = win.weight_state(now)
-        self._fs[i, j] = state.first_start
-        self._le[i, j] = state.last_end
-        self._mid[i, j] = state.mid_sum
-        self._open[i, j] = state.open
-        self._empty[i, j] = state.empty
-        self._refresh_at[i, j] = state.next_refresh
-        self._haswin[i, j] = True
+        self._fs[slot] = state.first_start
+        self._le[slot] = state.last_end
+        self._mid[slot] = state.mid_sum
+        self._open[slot] = state.open
+        self._empty[slot] = state.empty
+        self._refresh_at[slot] = state.next_refresh
         if state.next_refresh < self._next_refresh:
             self._next_refresh = state.next_refresh
 
     def _compute_weights(self, now: float) -> None:
+        k = len(self._slot_win)
+        if k == 0:
+            return
         w = self.cfg.window_size
         w0 = now - w
-        lead = np.maximum(self._fs - w0, 0.0)
-        lead = np.where(self._empty, w, lead)
-        trail = np.where(self._open | self._empty, 0.0, now - self._le)
-        integral = (0.5 * lead * lead + self._mid) + 0.5 * trail * trail
+        empty = self._empty[:k]
+        lead = np.maximum(self._fs[:k] - w0, 0.0)
+        lead = np.where(empty, w, lead)
+        trail = np.where(self._open[:k] | empty, 0.0, now - self._le[:k])
+        integral = (0.5 * lead * lead + self._mid[:k]) + 0.5 * trail * trail
         weights = np.full_like(integral, MAX_WEIGHT)
         np.divide(w, integral, out=weights, where=integral > 0.0)
-        weights[~self._haswin] = 0.0
-        self.weights = weights
-        self.friends = weights > self.cfg.threshold
-        if (self.friends != self._prev_friends).any():
-            self._dirty |= (self.friends != self._prev_friends).any(axis=1)
-        self._prev_friends = self.friends
+        cell = self._cell[:k]
+        self.weights.reshape(-1)[cell] = weights
+        friends = weights > self.cfg.threshold
+        flipped = friends != self._was_friend[:k]
+        if flipped.any():
+            self.friends.reshape(-1)[cell[flipped]] = friends[flipped]
+            self._dirty[self._row[:k][flipped]] = True
+            self._was_friend[:k] = friends
 
     # -- tick phases -----------------------------------------------------------
 
@@ -374,15 +449,17 @@ class Simulation:
         for ev in events:
             u, v = ev.pair
             for a, b in ((u, v), (v, u)):
-                node = self.nodes[a]
-                win = node.windows.get(b)
-                if win is None:
-                    win = node.windows[b] = ContactWindow(b, self.cfg.window_size)
+                slot = self._slot.get((a, b))
+                if slot is None:
+                    win = self.nodes[a].windows[b] = ContactWindow(b, self.cfg.window_size)
+                    slot = self._new_slot(a, b, win)
+                else:
+                    win = self._slot_win[slot]
                 if ev.kind is ContactEventKind.ENCOUNTER:
                     win.record_encounter(ev.time)
                 else:
                     win.record_departure(ev.time)
-                self._refresh_pair(a, b, now)
+                self._refresh_slot(slot, now)
                 # a newly tracked peer changes the maintain iteration set
                 # even without a threshold flip
                 self._dirty[a] = True
@@ -392,9 +469,10 @@ class Simulation:
     def _due_refreshes(self, now: float) -> None:
         if now <= self._next_refresh:
             return
-        for i, j in np.argwhere(self._refresh_at < now):
-            self._refresh_pair(int(i), int(j), now)
-        self._next_refresh = float(self._refresh_at.min())
+        refresh_at = self._refresh_at[: len(self._slot_win)]
+        for slot in np.flatnonzero(refresh_at < now).tolist():
+            self._refresh_slot(slot, now)
+        self._next_refresh = float(refresh_at.min())
 
     def _friend_weights(self, i: NodeId) -> dict[NodeId, float]:
         return {
@@ -419,11 +497,11 @@ class Simulation:
             self._dirty[u] = True
             self._dirty[v] = True
 
-        if not (self._dirty.any() or self.cfg.validate):
-            return
-        for i in range(self.cfg.node_count):
-            if not (self._dirty[i] or self.cfg.validate):
-                continue
+        if self.cfg.validate:
+            todo = range(self.cfg.node_count)
+        else:
+            todo = np.flatnonzero(self._dirty).tolist()
+        for i in todo:
             node = self.nodes[i]
             weights_row = {j: float(self.weights[i, j]) for j in node.windows}
             changed = node.view.maintain(
@@ -532,17 +610,10 @@ class Simulation:
                 now = idx * cfg.tick
                 self.now = now
                 coords = self.trace.at(idx)
-                events, in_range = self.tracker.update(coords, now)
+                events, pairs = self.tracker.update(coords, now)
                 self._apply_contact_events(events, now)
                 self._due_refreshes(now)
                 self._compute_weights(now)
-                if in_range.any():
-                    pairs = [
-                        (int(u), int(v))
-                        for u, v in np.argwhere(in_range & self._upper)
-                    ]
-                else:
-                    pairs = []
                 if idx % hello_every == 0:
                     self._hello_and_maintain(pairs, now)
                     if cfg.validate:

@@ -83,6 +83,14 @@ class Trace:
         )
 
 
+def check_finite(trace: Trace) -> None:
+    """Raise TraceError naming the first (tick, node) with a non-finite coordinate."""
+    bad = ~np.isfinite(trace.positions).all(axis=-1)
+    if bad.any():
+        idx, node = map(int, np.argwhere(bad)[0])
+        raise TraceError(f"non-finite coordinate at tick {idx}, node {node}")
+
+
 def _sample_times(duration: float, tick: float) -> np.ndarray:
     n = int(math.floor(duration / tick + 1e-9)) + 1
     return np.arange(n) * tick
@@ -210,6 +218,10 @@ def load_trace(path: str) -> Trace:
                 raise TraceFormatError(f"line {lineno}: time {t} not on the tick grid")
             if not 0 <= node < node_count:
                 raise TraceFormatError(f"line {lineno}: node {node} out of range")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TraceFormatError(
+                    f"line {lineno}: non-finite coordinate for tick {idx}, node {node}"
+                )
             if not math.isnan(positions[idx, node, 0]):
                 raise TraceFormatError(f"line {lineno}: duplicate sample for tick {idx}, node {node}")
             positions[idx, node] = (x, y)

@@ -1,0 +1,135 @@
+"""Differential test: the sweep-based ContactTracker against a dense reference.
+
+``DenseTracker`` is the original n x n algorithm: every pair's squared
+distance every tick, with the encounter/departure state held in n x n
+arrays.  Both trackers are driven through the same coordinate sequences and
+must report identical events and in-range pairs on every tick.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dtnsim.engine import ContactEvent, ContactEventKind, ContactTracker
+
+
+class DenseTracker:
+    def __init__(self, node_count, comm_range, missed_hello_limit):
+        self.range_sq = comm_range * comm_range
+        self.limit = missed_hello_limit
+        self.in_contact = np.zeros((node_count, node_count), dtype=bool)
+        self.miss = np.zeros((node_count, node_count), dtype=np.int64)
+        self.first_miss = np.zeros((node_count, node_count))
+        self.upper = np.triu(np.ones((node_count, node_count), dtype=bool), k=1)
+
+    def update(self, coords, now):
+        diff = coords[:, None, :] - coords[None, :, :]
+        in_range = (diff * diff).sum(axis=2) <= self.range_sq
+        np.fill_diagonal(in_range, False)
+        events = []
+        missing = self.in_contact & ~in_range
+        fresh_miss = missing & (self.miss == 0)
+        self.first_miss[fresh_miss] = now
+        self.miss[missing] += 1
+        self.miss[self.in_contact & in_range] = 0
+        departed = missing & (self.miss >= self.limit)
+        for u, v in np.argwhere(departed & self.upper):
+            events.append(
+                ContactEvent(
+                    ContactEventKind.DEPART, (int(u), int(v)), float(self.first_miss[u, v])
+                )
+            )
+        self.in_contact[departed] = False
+        self.miss[departed] = 0
+        encountered = in_range & ~self.in_contact
+        for u, v in np.argwhere(encountered & self.upper):
+            events.append(ContactEvent(ContactEventKind.ENCOUNTER, (int(u), int(v)), now))
+        self.in_contact[encountered] = True
+        pairs = [(int(u), int(v)) for u, v in np.argwhere(in_range & self.upper)]
+        return events, pairs
+
+
+RANGES = [3.0, 1.0, 0.1, 5.0, 7.3, 2.0**-30, 1e3]
+SHIFTS = [0.0, -123.456, 1e6, 2.0**30]
+#: offsets of length exactly 1 (scaled by the range below), in both axes
+UNIT_OFFSETS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.6, 0.8), (-0.8, 0.6)]
+
+
+def nudge(value, steps):
+    """``value`` moved ``steps`` ulps (negative steps move down)."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
+@st.composite
+def frame(draw, n, r, shift):
+    """n points built to sit on, just inside and just outside range edges."""
+    points = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["lattice", "offset", "free"]))
+        if kind == "offset" and points:
+            bx, by = draw(st.sampled_from(points))
+            ux, uy = draw(st.sampled_from(UNIT_OFFSETS))
+            x, y = bx + ux * r, by + uy * r
+        elif kind == "free":
+            x = shift + draw(st.floats(-3.0, 3.0)) * r
+            y = draw(st.floats(-3.0, 3.0)) * r
+        else:
+            x = shift + draw(st.integers(-3, 3)) * r
+            y = draw(st.integers(-3, 3)) * r
+        x = nudge(x, draw(st.integers(-2, 2)))
+        y = nudge(y, draw(st.integers(-1, 1)))
+        points.append((x, y))
+    return points
+
+
+@st.composite
+def scenario(draw):
+    r = draw(st.sampled_from(RANGES))
+    shift = draw(st.sampled_from(SHIFTS))
+    n = draw(st.integers(2, 9))
+    limit = draw(st.integers(1, 4))
+    pool = draw(st.lists(frame(n, r, shift), min_size=1, max_size=4))
+    # replaying a few frames in a drawn order makes pairs leave and rejoin
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=14))
+    return r, limit, [np.array(pool[i]) for i in order]
+
+
+@given(scenario())
+def test_sweep_tracker_matches_dense_reference(case):
+    r, limit, frames = case
+    n = len(frames[0])
+    sparse = ContactTracker(n, r, limit, 1.0)
+    dense = DenseTracker(n, r, limit)
+    for idx, coords in enumerate(frames):
+        now = float(idx)
+        assert sparse.update(coords, now) == dense.update(coords, now), f"tick {idx}"
+
+
+def test_exact_range_and_ulp_beyond_on_a_large_offset():
+    x0 = 1e6
+    r = 3.0
+    coords = np.array(
+        [[x0, 0.0], [x0 + r, 0.0], [nudge(x0 + 2 * r, 1), 0.0], [x0 + 0.6 * r, 0.8 * r]]
+    )
+    sparse = ContactTracker(4, r, 3, 1.0)
+    dense = DenseTracker(4, r, 3)
+    got = sparse.update(coords, 0.0)
+    assert got == dense.update(coords, 0.0)
+    assert (0, 1) in got[1]
+
+
+def test_pairs_whose_x_gap_exceeds_the_rounded_range_are_kept():
+    # fl(dx*dx) <= fl(r*r) although x1 > fl(x0 + sqrt(fl(r*r))): a sweep
+    # reaching exactly sqrt(range_sq) would drop these in-range pairs.
+    for r, x0, x1 in [
+        (7.3, -9.13688896803194, -1.8368889680319398),
+        (0.7, -0.4183224088383213, 0.28167759116167873),
+    ]:
+        coords = np.array([[x0, 0.0], [x1, 0.0]])
+        assert x1 > x0 + np.sqrt(r * r)
+        events, pairs = ContactTracker(2, r, 3, 1.0).update(coords, 0.0)
+        assert pairs == [(0, 1)]
+        assert (events, pairs) == DenseTracker(2, r, 3).update(coords, 0.0)

@@ -70,15 +70,46 @@ def test_config_check_names_offending_field():
         SimConfig(hello_period=0.7).check()
 
 
+FLOAT_FIELDS = (
+    "arena_width",
+    "arena_height",
+    "speed",
+    "pause",
+    "comm_range",
+    "window_size",
+    "threshold",
+    "ttl",
+    "generation_span",
+    "hello_period",
+    "tick",
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_check_requires_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(SimConfig(), **{name: value}).check()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_simulation_rejects_non_finite_trace(value):
+    trace = still_trace([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], ticks=4)
+    trace.positions[2, 1, 1] = value
+    cfg = SimConfig(node_count=3, message_count=1, window_size=10.0, generation_span=1.0)
+    with pytest.raises(ValueError, match="tick 2, node 1"):
+        Simulation(cfg, trace=trace)
+
+
 # -- contact tracking ----------------------------------------------------------------
 
 
 def test_encounter_at_boundary_distance():
     tracker = ContactTracker(2, comm_range=3.0, missed_hello_limit=3, tick=1.0)
-    events, in_range = tracker.update(np.array([[0.0, 0.0], [2.9, 0.0]]), 0.0)
+    events, pairs = tracker.update(np.array([[0.0, 0.0], [2.9, 0.0]]), 0.0)
     assert [e.kind for e in events] == [ContactEventKind.ENCOUNTER]
     assert events[0].pair == (0, 1) and events[0].time == 0.0
-    assert in_range[0, 1]
+    assert (0, 1) in pairs
     # exactly at range: still within (boundary inclusive)
     tracker2 = ContactTracker(2, 3.0, 3, 1.0)
     events, _ = tracker2.update(np.array([[0.0, 0.0], [3.0, 0.0]]), 0.0)

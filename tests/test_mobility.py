@@ -162,3 +162,31 @@ def test_off_grid_time_is_rejected(tmp_path):
     path.write_text("nodes=1 duration=2.0 tick=1.0\n0.5,0,1.000,2.000\n")
     with pytest.raises(TraceFormatError, match="line 2"):
         load_trace(str(path))
+
+
+@pytest.mark.parametrize("x, y", [("inf", "2.000"), ("1.000", "-inf"), ("nan", "2.000")])
+def test_non_finite_coordinate_is_rejected(tmp_path, x, y):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(
+        "nodes=2 duration=1.0 tick=1.0\n"
+        "0.0,0,1.000,2.000\n"
+        "0.0,1,1.000,2.000\n"
+        f"1.0,1,{x},{y}\n"
+        "1.0,0,1.000,2.000\n"
+    )
+    with pytest.raises(TraceFormatError, match="line 4: .*tick 1, node 1"):
+        load_trace(str(path))
+
+
+def test_nan_then_duplicate_row_is_rejected(tmp_path):
+    # NaN is also the parser's "missing" marker; a NaN row must not leave
+    # its slot open for a second row of the same (tick, node).
+    path = tmp_path / "nan_dup.csv"
+    path.write_text(
+        "nodes=1 duration=1.0 tick=1.0\n"
+        "0.0,0,nan,nan\n"
+        "0.0,0,1.000,2.000\n"
+        "1.0,0,1.000,2.000\n"
+    )
+    with pytest.raises(TraceFormatError, match="line 2: .*tick 0, node 0"):
+        load_trace(str(path))
