@@ -19,10 +19,12 @@ from typing import IO, Sequence
 from dtnsim.engine import (
     MetricsReport,
     SimConfig,
-    run as run_simulation,
+    Simulation,
+    default_trace,
+    shared_timeline,
     summarize,
 )
-from dtnsim.mobility import Arena, WaypointParams, generate_trace, save_trace
+from dtnsim.mobility import save_trace
 from dtnsim.routing import Protocol
 
 ENV_PREFIX = "DTNSIM_"
@@ -216,12 +218,61 @@ def _event_log_path(spec: ExperimentSpec, cell_index: int, run_index: int) -> st
     return f"{spec.event_log}.c{cell_index}.r{run_index}"
 
 
+def _run_group(
+    spec: ExperimentSpec,
+    members: list[tuple[int, SimConfig]],
+    k: int,
+    results: dict[int, list[MetricsReport] | Exception],
+) -> None:
+    """Run replicate ``k`` of ``members`` (cell index, config) on one timeline.
+
+    Each cell's report is appended to ``results``; a cell that fails records
+    its exception there instead, and the other cells carry on.
+    """
+    configs: list[tuple[int, SimConfig]] = []
+    for index, config in members:
+        config = replace(config, seed=config.seed + k)
+        try:
+            config.check()
+        except ValueError as exc:
+            results[index] = exc
+            continue
+        configs.append((index, config))
+    if not configs:
+        return
+    try:
+        timeline = shared_timeline([config for _, config in configs])
+    except Exception as exc:
+        for index, _ in configs:
+            results[index] = exc
+        return
+    sims: list[tuple[int, Simulation]] = []
+    for index, config in configs:
+        try:
+            sim = Simulation(
+                config, event_log=_event_log_path(spec, index, k), timeline=timeline
+            )
+        except Exception as exc:
+            results[index] = exc
+            continue
+        sims.append((index, sim))
+    for index, sim in sims:
+        try:
+            results[index].append(sim.run())
+        except Exception as exc:
+            results[index] = exc
+
+
 def run_experiment(spec: ExperimentSpec, progress: IO[str] | None = None) -> int:
-    """Run every sweep cell; returns a nonzero exit status if any cell failed."""
+    """Run every sweep cell; returns a nonzero exit status if any cell failed.
+
+    The cells of one (nodes, speed) pair differ only in protocol and TTL, so
+    each replicate of them runs on one shared timeline; rows and progress
+    lines still follow cell order.
+    """
     progress = progress if progress is not None else sys.stderr
     cells = spec.cells()
-    lines = [_header(spec.runs)]
-    failures = 0
+    groups: dict[tuple[int, float], list[tuple[int, SimConfig]]] = {}
     for index, (proto, nodes, speed, ttl) in enumerate(cells):
         config = replace(
             spec.base,
@@ -231,26 +282,31 @@ def run_experiment(spec: ExperimentSpec, progress: IO[str] | None = None) -> int
             ttl=ttl,
             trace_path=spec.trace,
         )
+        groups.setdefault((nodes, speed), []).append((index, config))
+    results: dict[int, list[MetricsReport] | Exception] = {
+        index: [] for index in range(len(cells))
+    }
+    for members in groups.values():
+        for k in range(spec.runs):
+            # a cell stops at its first failing replicate
+            live = [m for m in members if not isinstance(results[m[0]], Exception)]
+            _run_group(spec, live, k, results)
+
+    lines = [_header(spec.runs)]
+    failures = 0
+    for index, (proto, nodes, speed, ttl) in enumerate(cells):
         prefix = [proto.value, str(nodes), _fmt_cell(speed), _fmt_cell(ttl), str(spec.runs)]
-        try:
-            reports: list[MetricsReport] = []
-            for k in range(spec.runs):
-                reports.append(
-                    run_simulation(
-                        replace(config, seed=config.seed + k),
-                        event_log=_event_log_path(spec, index, k),
-                    )
-                )
-            summary = summarize(reports)
-        except Exception as exc:  # keep sweeping; mark the cell
+        outcome = results[index]
+        if isinstance(outcome, Exception):  # keep sweeping; mark the cell
             failures += 1
-            row = prefix + [f"error:{type(exc).__name__}"] + [""] * (3 + 3 * spec.runs)
+            row = prefix + [f"error:{type(outcome).__name__}"] + [""] * (3 + 3 * spec.runs)
             lines.append(",".join(row))
             print(
-                f"[{index + 1}/{len(cells)}] {' '.join(prefix[:4])} FAILED: {exc}",
+                f"[{index + 1}/{len(cells)}] {' '.join(prefix[:4])} FAILED: {outcome}",
                 file=progress,
             )
             continue
+        summary = summarize(outcome)
         row = prefix + [
             "ok",
             repr(summary.delivery_ratio),
@@ -280,21 +336,13 @@ def run_experiment(spec: ExperimentSpec, progress: IO[str] | None = None) -> int
 
 
 def _dump_trace(spec: ExperimentSpec, path: str) -> None:
-    base = spec.base
-    duration = base.window_size + base.generation_span + max(spec.ttls) + 2 * base.tick
-    trace = generate_trace(
-        WaypointParams(
-            arena=Arena(base.arena_width, base.arena_height),
-            speed_min=spec.speeds[0],
-            speed_max=spec.speeds[0],
-            pause=base.pause,
-            seed=base.seed,
-        ),
-        spec.node_counts[0],
-        duration,
-        base.tick,
+    config = replace(
+        spec.base,
+        node_count=spec.node_counts[0],
+        speed=spec.speeds[0],
+        ttl=max(spec.ttls),
     )
-    save_trace(trace, path)
+    save_trace(default_trace(config), path)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,10 +1,25 @@
 """Deterministic tick-stepped simulation of store-carry-forward routing.
 
+A run has two parts.  A :class:`Timeline` holds what depends on neither the
+routing protocol nor the TTL: the trace, contact detection, the contact
+windows, the link-weight cache with the ``weights``/``friends`` matrices,
+and the per-node social views with the hello/maintain pass.  A
+:class:`Simulation` holds one configuration's routing state: buffers,
+message holders, deliveries, injection, expiry, metrics and the event log.
+Routing never feeds back into the timeline, so the sweep cells that differ
+only in ``protocol`` and ``ttl`` share one timeline and run in lockstep:
+each tick the timeline advances once, then steps every attached simulation
+that has not finished.  No per-tick state is stored.  A Simulation built
+without a timeline gets one of its own, which is the same code path.
+
 Each tick: advance positions, detect contacts (first-hello encounter,
 missed-hello departure), update contact windows, exchange hellos and
-maintain the per-node social views, run the forwarding protocol over every
-in-range pair in ascending pair order, then expire TTLs.  The run ends when
-every generated message has been delivered or has no live copy anywhere.
+maintain the per-node social views; then, for each attached simulation,
+inject new messages, run the forwarding protocol over every in-range pair
+in ascending pair order, and expire TTLs.  A simulation ends when every
+generated message has been delivered or has no live copy anywhere; it fails
+when its own trace (for a generated trace, the length its TTL needs) ends
+first.
 
 Contact detection never looks at all n^2 pairs: a sort and sweep on x
 yields the candidate pairs whose x gap is within range (a conservative
@@ -25,8 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -40,6 +54,7 @@ from dtnsim.mobility import (
     check_finite,
     generate_trace,
     load_trace,
+    sample_count,
 )
 from dtnsim.routing import (
     Action,
@@ -265,6 +280,56 @@ def schedule_messages(config: SimConfig, seed: int | None = None) -> list[Messag
     return messages
 
 
+def trace_duration(config: SimConfig) -> float:
+    """Seconds of generated trace a run needs: warm-up, traffic, TTL, two ticks."""
+    return config.window_size + config.generation_span + config.ttl + 2 * config.tick
+
+
+def default_trace(config: SimConfig) -> Trace:
+    """The trace a run of ``config`` replays: ``trace_path`` or random waypoint."""
+    if config.trace_path:
+        return load_trace(config.trace_path)
+    params = WaypointParams(
+        arena=Arena(config.arena_width, config.arena_height),
+        speed_min=config.speed,
+        speed_max=config.speed,
+        pause=config.pause,
+        seed=config.seed,
+    )
+    return generate_trace(params, config.node_count, trace_duration(config), config.tick)
+
+
+#: config fields in which simulations sharing one timeline may differ
+_ROUTING_FIELDS = ("protocol", "ttl")
+
+
+def _check_joinable(base: SimConfig, config: SimConfig) -> None:
+    for f in fields(SimConfig):
+        if f.name in _ROUTING_FIELDS:
+            continue
+        mine, theirs = getattr(config, f.name), getattr(base, f.name)
+        if mine != theirs:
+            raise ValueError(
+                f"{f.name} differs within a shared timeline ({mine!r} vs {theirs!r}); "
+                f"only {' and '.join(_ROUTING_FIELDS)} may differ"
+            )
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """A message workload in injection order and in expiry order."""
+
+    messages: list[Message]
+    expiries: list[Message]
+
+    @classmethod
+    def of(cls, messages: Sequence[Message], tick: float) -> "_Schedule":
+        ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
+        return cls(
+            ordered, sorted(ordered, key=lambda m: (m.created_at + m.ttl + tick, m.id))
+        )
+
+
 #: weight-cache slot arrays: attribute -> (dtype, fill for unused capacity)
 _SLOT_ARRAYS = {
     "_fs": (float, 0.0),
@@ -278,15 +343,16 @@ _SLOT_ARRAYS = {
     "_cell": (np.intp, 0),
 }
 
+_NOTHING: frozenset[int] = frozenset()
+
 
 class _Node:
-    __slots__ = ("id", "view", "windows", "buffer")
+    __slots__ = ("id", "view", "windows")
 
     def __init__(self, node_id: NodeId) -> None:
         self.id = node_id
         self.view = SocialNetworkView(node_id)
         self.windows: dict[NodeId, ContactWindow] = {}
-        self.buffer = Buffer()
 
 
 class _WeightRow:
@@ -303,29 +369,33 @@ class _WeightRow:
         return default
 
 
-class Simulation:
-    """One seeded run.  Build it, call :meth:`run` once."""
+class Timeline:
+    """The protocol- and TTL-independent part of a run, shared by simulations.
 
-    def __init__(
-        self,
-        config: SimConfig,
-        trace: Trace | None = None,
-        messages: Sequence[Message] | None = None,
-        event_log: str | IO[str] | None = None,
-    ) -> None:
+    Holds the trace, the contact tracker, the contact windows, the weight
+    cache with ``weights``/``friends``, and the node views with the
+    hello/maintain pass.  Simulations attach to it before it starts; each
+    :meth:`Simulation.run` then advances it tick by tick, stepping every
+    attached simulation that has not finished, until that simulation's own
+    run ends.  Build one for a group of configs with :func:`shared_timeline`.
+    """
+
+    def __init__(self, config: SimConfig, trace: Trace | None = None) -> None:
         config.check()
         self.cfg = config
         if trace is not None:
             check_finite(trace)
-        self.trace = trace if trace is not None else self._default_trace()
+        # A trace generated here covers config.ttl; a simulation with a
+        # shorter TTL ends where its own generated trace would have.
+        self._generated = trace is None and not config.trace_path
+        self.trace = trace if trace is not None else default_trace(config)
         if self.trace.node_count != config.node_count:
             raise ValueError(
                 f"trace holds {self.trace.node_count} nodes, config wants "
                 f"{config.node_count}"
             )
-        if messages is None:
-            messages = schedule_messages(config)
-        self.messages = sorted(messages, key=lambda m: (m.created_at, m.id))
+        if self.trace.tick_count == 0:
+            raise ValueError("trace holds no ticks")
         self.nodes = [_Node(i) for i in range(config.node_count)]
         self.tracker = ContactTracker(
             config.node_count, config.comm_range, config.missed_hello_limit, config.tick
@@ -344,53 +414,42 @@ class Simulation:
             setattr(self, name, np.full(0, fill, dtype=dtype))
         self._next_refresh = float("inf")
 
-        self.delivered: set[int] = set()
-        self.delivered_to: dict[NodeId, set[int]] = {i: set() for i in range(n)}
-        self.holders: dict[int, set[NodeId]] = {}
-        self.total_forwards = 0
-        self._resolved: set[int] = set()
-        self._unresolved = len(self.messages)
-        self._pending = deque(self.messages)
-        self._expiries = deque(
-            sorted(
-                ((m.created_at + m.ttl + config.tick, m.id) for m in self.messages),
-                key=lambda pair: pair,
-            )
-        )
         self.contact_log: list[ContactEvent] = []
-        self.now = 0.0
+        # index of the next tick to simulate
+        self._next_tick = 0
+        self._active: list[Simulation] = []
+        self._schedules: dict[float, _Schedule] = {}
 
-        self._log_fh: IO[str] | None = None
-        self._own_log = False
-        if event_log is not None:
-            if isinstance(event_log, str):
-                self._log_fh = open(event_log, "w", encoding="ascii")
-                self._own_log = True
+    def _trace_end(self, config: SimConfig) -> int:
+        """Ticks of the trace a simulation of ``config`` may replay here.
+
+        Raises unless such a simulation can still join this timeline.
+        """
+        if self._next_tick:
+            raise RuntimeError("cannot attach a simulation to a timeline that has started")
+        _check_joinable(self.cfg, config)
+        end = self.trace.tick_count
+        if self._generated:
+            own = sample_count(trace_duration(config), config.tick)
+            if own > end:
+                raise ValueError(
+                    f"ttl {config.ttl!r} needs {own} trace ticks; the timeline "
+                    f"holds {end}"
+                )
+            end = own
+        return end
+
+    def _schedule(self, config: SimConfig) -> _Schedule:
+        """The seeded workload at ``config.ttl``, drawn once per timeline."""
+        schedule = self._schedules.get(config.ttl)
+        if schedule is None:
+            if self._schedules:
+                drawn = next(iter(self._schedules.values())).messages
+                messages = [replace(m, ttl=config.ttl) for m in drawn]
             else:
-                self._log_fh = event_log
-            self._log_fh.write("time,event,msg_id,from,to\n")
-
-    def _default_trace(self) -> Trace:
-        cfg = self.cfg
-        if cfg.trace_path:
-            return load_trace(cfg.trace_path)
-        duration = (
-            cfg.window_size + cfg.generation_span + cfg.ttl + 2 * cfg.tick
-        )
-        params = WaypointParams(
-            arena=Arena(cfg.arena_width, cfg.arena_height),
-            speed_min=cfg.speed,
-            speed_max=cfg.speed,
-            pause=cfg.pause,
-            seed=cfg.seed,
-        )
-        return generate_trace(params, cfg.node_count, duration, cfg.tick)
-
-    # -- logging ---------------------------------------------------------------
-
-    def _log(self, now: float, kind: str, msg_id: int, frm: int, to: int) -> None:
-        if self._log_fh is not None:
-            self._log_fh.write(f"{now!r},{kind},{msg_id},{frm},{to}\n")
+                messages = schedule_messages(config)
+            schedule = self._schedules[config.ttl] = _Schedule.of(messages, config.tick)
+        return schedule
 
     # -- weight cache ------------------------------------------------------------
 
@@ -491,11 +550,14 @@ class Simulation:
                 )
             return payloads[x]
 
+        # maintain reads the friend flags, the window key set and the staged
+        # advertisements; the first two mark nodes dirty where they change,
+        # and apply_hello reports a changed advertisement
         for u, v in pairs:
-            self.nodes[v].view.apply_hello(payload_for(u), now)
-            self.nodes[u].view.apply_hello(payload_for(v), now)
-            self._dirty[u] = True
-            self._dirty[v] = True
+            if self.nodes[v].view.apply_hello(payload_for(u), now):
+                self._dirty[v] = True
+            if self.nodes[u].view.apply_hello(payload_for(v), now):
+                self._dirty[u] = True
 
         if self.cfg.validate:
             todo = range(self.cfg.node_count)
@@ -508,78 +570,6 @@ class Simulation:
                 now, threshold=self.cfg.threshold, weights=weights_row
             )
             self._dirty[i] = changed
-
-    def _inject(self, now: float) -> None:
-        while self._pending and self._pending[0].created_at <= now:
-            m = self._pending.popleft()
-            self.nodes[m.src].buffer.insert(m)
-            self.holders[m.id] = {m.src}
-            self._log(now, "GEN", m.id, m.src, m.dst)
-
-    def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
-        cfg = self.cfg
-        for u, v in pairs:
-            for i, j in ((u, v), (v, u)):
-                node = self.nodes[i]
-                if not len(node.buffer):
-                    continue
-                cb, ceb = node.view.my_centrality()
-                ctx = RelayContext(
-                    node=i,
-                    buffer=node.buffer,
-                    own_weights=_WeightRow(self.weights[i]),
-                    own_cb=cb,
-                    own_ceb=ceb,
-                    members=node.view.graph.vertices,
-                    peer_weights=node.view.peer_weights,
-                    threshold=cfg.threshold,
-                )
-                record = node.view.peer_centrality.get(j)
-                peer_hello = HelloPayload(
-                    sender=j,
-                    neighbor_list=frozenset(),
-                    sender_cb=record.cb if record else 0,
-                    sender_ceb=record.ceb if record else 0,
-                    link_weights=node.view.peer_weights.get(j, {}),
-                )
-                peer_has = self.nodes[j].buffer.ids() | self.delivered_to[j]
-                actions = decide(cfg.protocol, ctx, j, peer_hello, peer_has, now)
-                self._apply_actions(i, j, actions, now)
-
-    def _apply_actions(
-        self, i: NodeId, j: NodeId, actions: list[ForwardAction], now: float
-    ) -> None:
-        for act in actions:
-            m = self.nodes[i].buffer.get(act.message_id)
-            self.total_forwards += 1
-            if act.action is Action.DELIVER:
-                self._log(now, "DLV", m.id, i, j)
-                self.delivered_to[j].add(m.id)
-                if m.id not in self.delivered:
-                    self.delivered.add(m.id)
-                    self._resolve(m.id)
-            else:
-                self._log(now, "FWD", m.id, i, j)
-                self.nodes[j].buffer.accept(m, j)
-                self.holders[m.id].add(j)
-                if act.action is Action.FORWARD_AND_DELETE:
-                    self.nodes[i].buffer.remove(m.id)
-                    self.holders[m.id].discard(i)
-
-    def _resolve(self, message_id: int) -> None:
-        if message_id not in self._resolved:
-            self._resolved.add(message_id)
-            self._unresolved -= 1
-
-    def _expire(self, now: float) -> None:
-        while self._expiries and self._expiries[0][0] <= now:
-            _, mid = self._expiries.popleft()
-            for holder in sorted(self.holders.get(mid, ())):
-                self.nodes[holder].buffer.remove(mid)
-                self._log(now, "EXP", mid, holder, -1)
-            self.holders[mid] = set()
-            if mid not in self.delivered:
-                self._resolve(mid)
 
     def _validate_tick(self, now: float) -> None:
         for i, node in enumerate(self.nodes):
@@ -601,16 +591,15 @@ class Simulation:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self) -> MetricsReport:
+    def _run_until(self, target: "Simulation") -> None:
+        """Advance in lockstep until ``target`` has finished."""
         cfg = self.cfg
         hello_every = int(round(cfg.hello_period / cfg.tick))
-        finished = False
-        try:
-            for idx in range(self.trace.tick_count):
-                now = idx * cfg.tick
-                self.now = now
-                coords = self.trace.at(idx)
-                events, pairs = self.tracker.update(coords, now)
+        while target._outcome is None:
+            idx = self._next_tick
+            now = idx * cfg.tick
+            try:
+                events, pairs = self.tracker.update(self.trace.at(idx), now)
                 self._apply_contact_events(events, now)
                 self._due_refreshes(now)
                 self._compute_weights(now)
@@ -618,22 +607,248 @@ class Simulation:
                     self._hello_and_maintain(pairs, now)
                     if cfg.validate:
                         self._validate_tick(now)
-                self._inject(now)
-                self._route(pairs, now)
-                self._expire(now)
-                if self._unresolved == 0:
+            except Exception as exc:
+                # the shared state is now inconsistent for every simulation
+                for sim in self._active:
+                    sim._finish(exc)
+                self._active = []
+                raise
+            self._next_tick = idx + 1
+            finished = False
+            for sim in self._active:
+                try:
+                    finished |= sim._step(idx, now, pairs)
+                except Exception as exc:
+                    sim._finish(exc)
                     finished = True
-                    break
-            if not finished and self._unresolved > 0:
-                raise TraceExhaustedError(
+            if finished:
+                self._active = [sim for sim in self._active if sim._outcome is None]
+
+
+def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
+    """One timeline for simulations of ``configs``, which may differ only in
+    ``protocol`` and ``ttl``; a generated trace covers the longest TTL."""
+    if not configs:
+        raise ValueError("need at least one config")
+    for config in configs[1:]:
+        _check_joinable(configs[0], config)
+    return Timeline(max(configs, key=trace_duration))
+
+
+class Simulation:
+    """One seeded run.  Build it, call :meth:`run` once.
+
+    Without ``timeline`` the simulation gets a timeline of its own; with one
+    (see :func:`shared_timeline`) it joins that timeline's lockstep pass, and
+    ``trace`` must be left out.  ``nodes`` (views and contact windows) belong
+    to the timeline, so after a grouped run they show the timeline's latest
+    tick, which is this run's last tick when it finished last.
+    """
+
+    def __init__(
+        self,
+        config: SimConfig,
+        trace: Trace | None = None,
+        messages: Sequence[Message] | None = None,
+        event_log: str | IO[str] | None = None,
+        *,
+        timeline: Timeline | None = None,
+    ) -> None:
+        config.check()
+        self.cfg = config
+        if timeline is None:
+            timeline = Timeline(config, trace)
+        elif trace is not None:
+            raise ValueError("a simulation joining a timeline replays the timeline's trace")
+        self._end = timeline._trace_end(config)
+        schedule = (
+            timeline._schedule(config)
+            if messages is None
+            else _Schedule.of(messages, config.tick)
+        )
+        self.timeline = timeline
+        self.trace = timeline.trace
+        self.nodes = timeline.nodes
+        self.messages = schedule.messages
+        self._expiries = schedule.expiries
+
+        n = config.node_count
+        self.buffers = [Buffer() for _ in range(n)]
+        self.delivered: set[int] = set()
+        #: destination -> ids delivered to it; nodes without one are absent
+        self.delivered_to: dict[NodeId, set[int]] = {}
+        # message id -> bit mask of the nodes buffering a copy.  A sweep keeps
+        # every cell's simulation alive at once, and a set per message would
+        # dominate its memory.
+        self._holders: dict[int, int] = {}
+        self.total_forwards = 0
+        self._unresolved = len(self.messages)
+        self._next_inject = 0
+        self._next_expiry = 0
+        self.now = 0.0
+        self._ran = False
+        #: the MetricsReport, or the exception the run ended with
+        self._outcome: MetricsReport | Exception | None = None
+        self._contacts_seen: int | None = None
+
+        self._log_fh: IO[str] | None = None
+        self._own_log = False
+        if event_log is not None:
+            if isinstance(event_log, str):
+                self._log_fh = open(event_log, "w", encoding="ascii")
+                self._own_log = True
+            else:
+                self._log_fh = event_log
+            self._log_fh.write("time,event,msg_id,from,to\n")
+        timeline._active.append(self)
+
+    def _default_trace(self) -> Trace:
+        return default_trace(self.cfg)
+
+    @property
+    def holders(self) -> dict[int, set[NodeId]]:
+        """Message id -> nodes buffering a copy, for every message injected."""
+        n = self.cfg.node_count
+        return {
+            mid: {i for i in range(n) if mask >> i & 1}
+            for mid, mask in self._holders.items()
+        }
+
+    @property
+    def contact_log(self) -> list[ContactEvent]:
+        """Contact events up to this run's last tick (``validate`` mode only)."""
+        log = self.timeline.contact_log
+        return log if self._contacts_seen is None else log[: self._contacts_seen]
+
+    # -- logging ---------------------------------------------------------------
+
+    def _log(self, now: float, kind: str, msg_id: int, frm: int, to: int) -> None:
+        if self._log_fh is not None:
+            self._log_fh.write(f"{now!r},{kind},{msg_id},{frm},{to}\n")
+
+    # -- routing phases ----------------------------------------------------------
+
+    def _inject(self, now: float) -> None:
+        messages = self.messages
+        while self._next_inject < len(messages) and messages[self._next_inject].created_at <= now:
+            m = messages[self._next_inject]
+            self._next_inject += 1
+            self.buffers[m.src].insert(m)
+            self._holders[m.id] = 1 << m.src
+            self._log(now, "GEN", m.id, m.src, m.dst)
+
+    def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
+        cfg = self.cfg
+        nodes, buffers, weights = self.nodes, self.buffers, self.timeline.weights
+        for u, v in pairs:
+            for i, j in ((u, v), (v, u)):
+                buffer = buffers[i]
+                if not len(buffer):
+                    continue
+                peer_has = buffers[j].ids() | self.delivered_to.get(j, _NOTHING)
+                if buffer.ids() <= peer_has:
+                    continue  # decide skips every message the peer holds
+                view = nodes[i].view
+                cb, ceb = view.my_centrality()
+                ctx = RelayContext(
+                    node=i,
+                    buffer=buffer,
+                    own_weights=_WeightRow(weights[i]),
+                    own_cb=cb,
+                    own_ceb=ceb,
+                    members=view.graph.vertices,
+                    peer_weights=view.peer_weights,
+                    threshold=cfg.threshold,
+                )
+                record = view.peer_centrality.get(j)
+                peer_hello = HelloPayload(
+                    sender=j,
+                    neighbor_list=frozenset(),
+                    sender_cb=record.cb if record else 0,
+                    sender_ceb=record.ceb if record else 0,
+                    link_weights=view.peer_weights.get(j, {}),
+                )
+                actions = decide(cfg.protocol, ctx, j, peer_hello, peer_has, now)
+                self._apply_actions(i, j, actions, now)
+
+    def _apply_actions(
+        self, i: NodeId, j: NodeId, actions: list[ForwardAction], now: float
+    ) -> None:
+        for act in actions:
+            m = self.buffers[i].get(act.message_id)
+            self.total_forwards += 1
+            if act.action is Action.DELIVER:
+                self._log(now, "DLV", m.id, i, j)
+                self.delivered_to.setdefault(j, set()).add(m.id)
+                if m.id not in self.delivered:
+                    # resolved: a delivered message is never counted at expiry
+                    self.delivered.add(m.id)
+                    self._unresolved -= 1
+            else:
+                self._log(now, "FWD", m.id, i, j)
+                self.buffers[j].accept(m, j)
+                self._holders[m.id] |= 1 << j
+                if act.action is Action.FORWARD_AND_DELETE:
+                    self.buffers[i].remove(m.id)
+                    self._holders[m.id] &= ~(1 << i)
+
+    def _expire(self, now: float) -> None:
+        expiries, tick = self._expiries, self.cfg.tick
+        while self._next_expiry < len(expiries):
+            m = expiries[self._next_expiry]
+            if m.created_at + m.ttl + tick > now:
+                break
+            self._next_expiry += 1
+            mid = m.id
+            mask = self._holders[mid]
+            while mask:  # ascending node id
+                holder = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                self.buffers[holder].remove(mid)
+                self._log(now, "EXP", mid, holder, -1)
+            self._holders[mid] = 0
+            # resolved: no copy is left, so it can never be delivered now
+            if mid not in self.delivered:
+                self._unresolved -= 1
+
+    def _step(self, idx: int, now: float, pairs: list[tuple[NodeId, NodeId]]) -> bool:
+        """Route one tick of the timeline; True once this run has ended."""
+        self.now = now
+        self._inject(now)
+        self._route(pairs, now)
+        self._expire(now)
+        if self._unresolved == 0:
+            self._finish(self._metrics())
+        elif idx + 1 >= self._end:
+            self._finish(
+                TraceExhaustedError(
                     f"trace ended with {self._unresolved} undecided messages"
                 )
-        finally:
-            if self._log_fh is not None:
-                self._log_fh.flush()
-                if self._own_log:
-                    self._log_fh.close()
-        return self._metrics()
+            )
+        return self._outcome is not None
+
+    def _finish(self, outcome: MetricsReport | Exception) -> None:
+        self._outcome = outcome
+        self._contacts_seen = len(self.timeline.contact_log)
+        if self._log_fh is not None:
+            self._log_fh.flush()
+            if self._own_log:
+                self._log_fh.close()
+
+    def run(self) -> MetricsReport:
+        """Advance the timeline until this run ends; its report.
+
+        Raises :class:`TraceExhaustedError` when the trace ends first, and
+        RuntimeError when called a second time.
+        """
+        if self._ran:
+            raise RuntimeError("Simulation.run() may be called only once")
+        self._ran = True
+        if self._outcome is None:
+            self.timeline._run_until(self)
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
 
     def _metrics(self) -> MetricsReport:
         generated = len(self.messages)

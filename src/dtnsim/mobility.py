@@ -91,9 +91,13 @@ def check_finite(trace: Trace) -> None:
         raise TraceError(f"non-finite coordinate at tick {idx}, node {node}")
 
 
+def sample_count(duration: float, tick: float) -> int:
+    """Samples in a trace of ``duration`` seconds at ``tick`` spacing, both ends included."""
+    return int(math.floor(duration / tick + 1e-9)) + 1
+
+
 def _sample_times(duration: float, tick: float) -> np.ndarray:
-    n = int(math.floor(duration / tick + 1e-9)) + 1
-    return np.arange(n) * tick
+    return np.arange(sample_count(duration, tick)) * tick
 
 
 def _walk(rng: np.random.Generator, params: WaypointParams, times: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Collection, Iterator, Mapping
+from typing import Collection, Iterator, KeysView, Mapping
 
 from dtnsim.graph import NodeId
 from dtnsim.social import HelloPayload
@@ -56,7 +56,7 @@ class ForwardAction:
     action: Action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     id: int
     src: NodeId
@@ -93,8 +93,9 @@ class Buffer:
         """Messages in ascending id order (deterministic)."""
         return iter(sorted(self._messages.values(), key=lambda m: m.id))
 
-    def ids(self) -> set[int]:
-        return set(self._messages)
+    def ids(self) -> KeysView[int]:
+        """Buffered message ids, as a live set-like view."""
+        return self._messages.keys()
 
     def get(self, message_id: int) -> Message:
         return self._messages[message_id]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from dtnsim.contacts import ContactWindow
-from dtnsim.graph import NodeId, SocialGraph, betweenness, endpoint_betweenness
+from dtnsim.graph import NodeId, SocialGraph, betweenness
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,21 @@ class SocialNetworkView:
 
     # -- hello handling ------------------------------------------------------
 
-    def apply_hello(self, payload: HelloPayload, now: float) -> None:
-        """Cache a received hello.  Does not touch the graph; maintain does."""
+    def apply_hello(self, payload: HelloPayload, now: float) -> bool:
+        """Cache a received hello.  Does not touch the graph; maintain does.
+
+        Returns True when the advertisement staged for the next maintain
+        changed: a sender with none staged, or a different neighbor list.
+        """
         sender = payload.sender
         self.peer_centrality[sender] = PeerRecord(
             payload.sender_cb, payload.sender_ceb, now
         )
         self.peer_weights[sender] = dict(payload.link_weights)
-        self._advertised[sender] = frozenset(payload.neighbor_list)
+        advertised = frozenset(payload.neighbor_list)
+        changed = self._advertised.get(sender) != advertised
+        self._advertised[sender] = advertised
+        return changed
 
     def make_hello(
         self, now: float, link_weights: Mapping[NodeId, float] | None = None
@@ -93,12 +100,14 @@ class SocialNetworkView:
         """(plain, endpoint-biased) betweenness of the owner on its own view.
 
         The view graph is already the owner's expanded ego network, so no
-        further extraction is needed.
+        further extraction is needed.  The endpoint-biased value adds one
+        per vertex the owner reaches (each pair it belongs to), so one
+        Brandes pass gives both.
         """
         if self._centrality_cache and self._centrality_cache[0] == self.revision:
             return self._centrality_cache[1]
         cb = betweenness(self.graph)[self.owner]
-        ceb = endpoint_betweenness(self.graph)[self.owner]
+        ceb = cb + len(self.graph.reachable_from(self.owner))
         self._centrality_cache = (self.revision, (cb, ceb))
         return cb, ceb
 

@@ -439,3 +439,21 @@ def test_replicate_means_and_determinism():
 def test_summarize_requires_reports():
     with pytest.raises(ValueError):
         summarize([])
+
+
+def test_incremental_maintain_equals_full_maintain_with_two_hop_views():
+    # friend graphs with two-hop neighbourhoods form here, so a view goes
+    # stale unless a changed hello advertisement schedules its maintain
+    cfg = SimConfig(
+        node_count=10, arena_width=80.0, arena_height=80.0, speed=1.5,
+        comm_range=12.0, window_size=150.0, message_count=30,
+        generation_span=50.0, ttl=80.0, seed=2, protocol=Protocol.PROPOSED_II,
+    )
+    fast_log, full_log = io.StringIO(), io.StringIO()
+    fast = Simulation(cfg, event_log=fast_log)
+    full = Simulation(replace(cfg, validate=True), event_log=full_log)
+    assert fast.run() == full.run()
+    assert fast_log.getvalue() == full_log.getvalue()
+    for a, b in zip(fast.nodes, full.nodes):
+        assert a.view.graph == b.view.graph
+    assert any(len(node.view.graph.vertices) > 2 for node in fast.nodes)

@@ -1,0 +1,220 @@
+"""Simulations sharing one timeline must match independent simulations.
+
+A shared timeline runs the contact and social pipeline once and steps every
+attached simulation in lockstep.  Each test here runs the same cells both
+ways, or checks that a group is rejected or fails per cell.
+"""
+
+import io
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dtnsim.cli import parse_config, run_experiment
+from dtnsim.engine import (
+    SimConfig,
+    Simulation,
+    Timeline,
+    TraceExhaustedError,
+    run,
+    shared_timeline,
+)
+from dtnsim.mobility import Trace, save_trace
+from dtnsim.routing import Protocol
+
+TTLS = (30.0, 80.0)
+
+
+def relay_config(**overrides):
+    """10 nodes in 80x80 m with 12 m range: every protocol relays (FWD events)."""
+    base = dict(
+        node_count=10,
+        arena_width=80.0,
+        arena_height=80.0,
+        speed=1.5,
+        comm_range=12.0,
+        window_size=100.0,
+        message_count=30,
+        generation_span=50.0,
+        seed=2,
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def cells(base):
+    return [replace(base, protocol=p, ttl=ttl) for p in Protocol for ttl in TTLS]
+
+
+def grouped(configs, order=None):
+    """Reports and event logs of ``configs`` run on one shared timeline."""
+    timeline = shared_timeline(configs)
+    logs = [io.StringIO() for _ in configs]
+    sims = [
+        Simulation(config, event_log=log, timeline=timeline)
+        for config, log in zip(configs, logs)
+    ]
+    reports = [None] * len(configs)
+    for k in order if order is not None else range(len(configs)):
+        reports[k] = sims[k].run()
+    return reports, [log.getvalue() for log in logs]
+
+
+def independent(configs):
+    logs = [io.StringIO() for _ in configs]
+    reports = [run(config, event_log=log) for config, log in zip(configs, logs)]
+    return reports, [log.getvalue() for log in logs]
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_grouped_runs_match_independent_runs(validate):
+    configs = cells(relay_config(validate=validate))
+    reports, logs = grouped(configs)
+    assert (reports, logs) == independent(configs)
+    # the scenario exercises relaying, not only direct delivery
+    for config, log in zip(configs, logs):
+        assert ",FWD," in log, config.protocol
+
+
+def test_run_order_does_not_change_reports():
+    configs = cells(relay_config())
+    longest_first = sorted(range(len(configs)), key=lambda k: -configs[k].ttl)
+    assert grouped(configs, order=longest_first) == grouped(configs)
+
+
+def test_grouped_state_keeps_its_own_tick_count():
+    configs = cells(relay_config())
+    timeline = shared_timeline(configs)
+    sims = [Simulation(config, timeline=timeline) for config in configs]
+    for sim in reversed(sims):
+        sim.run()
+    for sim, config in zip(sims, configs):
+        alone = Simulation(config)
+        alone.run()
+        assert sim.now == alone.now
+        assert sim.holders == alone.holders
+        assert sim.delivered == alone.delivered
+
+
+def test_short_trace_fails_only_the_long_ttl_state(tmp_path):
+    frames = np.tile(np.array([[0.0, 0.0], [100.0, 0.0]]), (30, 1, 1))
+    path = tmp_path / "short.csv"
+    save_trace(Trace(node_count=2, duration=29.0, tick=1.0, positions=frames), str(path))
+    base = SimConfig(
+        node_count=2, message_count=3, window_size=10.0, generation_span=1.0,
+        trace_path=str(path),
+    )
+    short, long = replace(base, ttl=5.0), replace(base, ttl=50.0)
+    timeline = shared_timeline([short, long])
+    sims = [Simulation(config, timeline=timeline) for config in (long, short)]
+    with pytest.raises(TraceExhaustedError):
+        sims[0].run()
+    assert sims[1].run() == run(short)
+    with pytest.raises(TraceExhaustedError):
+        run(long)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 3), ("node_count", 11), ("comm_range", 5.0), ("validate", True)],
+)
+def test_group_rejects_configs_differing_beyond_protocol_and_ttl(field, value):
+    base = relay_config()
+    other = replace(base, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} differs"):
+        shared_timeline([base, other])
+    with pytest.raises(ValueError, match=f"^{field} differs"):
+        Simulation(other, timeline=Timeline(base))
+
+
+def test_state_needing_a_longer_trace_is_rejected():
+    timeline = Timeline(relay_config(ttl=30.0))
+    with pytest.raises(ValueError, match="ttl 80.0 needs"):
+        Simulation(relay_config(ttl=80.0), timeline=timeline)
+
+
+def test_second_run_raises():
+    sim = Simulation(relay_config(ttl=30.0))
+    sim.run()
+    with pytest.raises(RuntimeError, match="once"):
+        sim.run()
+
+
+def test_started_timeline_takes_no_new_state():
+    configs = cells(relay_config())[:2]
+    timeline = shared_timeline(configs)
+    Simulation(configs[0], timeline=timeline).run()
+    with pytest.raises(RuntimeError, match="started"):
+        Simulation(configs[1], timeline=timeline)
+
+
+def test_run_experiment_rows_equal_per_cell_runs(tmp_path):
+    out = tmp_path / "results.csv"
+    spec = parse_config(
+        None,
+        overrides={
+            "protocol": "epidemic,proposed2",
+            "nodes": "10",
+            "speed": "1.5",
+            "ttl": "30,80",
+            "runs": "2",
+            "seed": "2",
+            "area_width": "80",
+            "area_height": "80",
+            "comm_range": "12",
+            "window_size": "100",
+            "message_count": "30",
+            "generation_span": "50",
+            "out": str(out),
+        },
+    )
+    assert run_experiment(spec, progress=io.StringIO()) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for row, (proto, nodes, speed, ttl) in zip(rows, spec.cells()):
+        config = replace(spec.base, protocol=proto, node_count=nodes, speed=speed, ttl=ttl)
+        assert row[:6] == [proto.value, "10", "1.5", repr(ttl), "2", "ok"]
+        for k in range(spec.runs):
+            report = run(replace(config, seed=config.seed + k))
+            got = row[9 + 3 * k : 12 + 3 * k]
+            assert got == [
+                repr(report.delivery_ratio),
+                repr(report.delivery_cost),
+                repr(report.delivery_efficiency),
+            ]
+
+
+def test_failing_cell_does_not_stop_its_group(tmp_path):
+    frames = np.tile(np.array([[0.0, 0.0], [100.0, 0.0]]), (30, 1, 1))
+    trace = tmp_path / "short.csv"
+    save_trace(Trace(node_count=2, duration=29.0, tick=1.0, positions=frames), str(trace))
+    out = tmp_path / "results.csv"
+    spec = parse_config(
+        None,
+        overrides={
+            "protocol": "epidemic,proposed1",
+            "nodes": "2",
+            "speed": "1.0",
+            "ttl": "5,50",
+            "runs": "2",
+            "window_size": "10",
+            "generation_span": "1",
+            "message_count": "3",
+            "trace": str(trace),
+            "out": str(out),
+        },
+    )
+    progress = io.StringIO()
+    assert run_experiment(spec, progress=progress) == 1
+    statuses = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
+    assert statuses == ["ok", "error:TraceExhaustedError"] * 2
+    lines = progress.getvalue().splitlines()
+    assert [line.split("]")[0] for line in lines] == ["[1/4", "[2/4", "[3/4", "[4/4"]
+    assert "FAILED: trace ended with" in lines[1]
+
+
+def test_trace_without_ticks_is_rejected():
+    empty = Trace(node_count=2, duration=1.0, tick=1.0, positions=np.empty((0, 2, 2)))
+    with pytest.raises(ValueError, match="no ticks"):
+        Simulation(SimConfig(node_count=2), trace=empty)

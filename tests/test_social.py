@@ -3,7 +3,7 @@ from collections import deque
 import pytest
 
 from dtnsim.contacts import ContactWindow
-from dtnsim.graph import SocialGraph
+from dtnsim.graph import SocialGraph, betweenness, endpoint_betweenness
 from dtnsim.social import HelloPayload, SocialNetworkView
 
 TH = 0.01
@@ -56,6 +56,19 @@ def test_payload_rejects_self_in_neighbor_list():
 
 
 # -- apply_hello -----------------------------------------------------------------
+
+
+def test_apply_hello_reports_a_changed_advertisement():
+    view = SocialNetworkView(0)
+    assert view.apply_hello(hello(1, neighbors={2}), now=1)  # new sender
+    # same neighbor list: centralities and weights refresh, nothing to maintain
+    assert not view.apply_hello(hello(1, neighbors={2}, cb=5, weights={2: 0.5}), now=2)
+    assert view.peer_centrality[1].cb == 5
+    assert view.apply_hello(hello(1, neighbors={2, 3}), now=3)
+    # an evicted friend's advertisement is dropped, so its next hello is new
+    view.maintain(3, threshold=TH, weights={1: 1.0})
+    view.maintain(4, threshold=TH, weights={1: 0.0})
+    assert view.apply_hello(hello(1, neighbors={2, 3}), now=5)
 
 
 def test_apply_hello_caches_centralities_and_weights():
@@ -236,3 +249,17 @@ def test_centrality_cache_tracks_graph_changes():
     assert view.my_centrality() == (1, 3)
     view.maintain(10, threshold=TH, weights={1: 1.0, 2: 0.0})
     assert view.my_centrality() == (0, 1)
+
+
+def test_my_centrality_endpoint_value_matches_brandes():
+    # ceb is derived from cb plus the owner's reach; check it against the
+    # endpoint-biased Brandes pass on views of several shapes
+    view = SocialNetworkView(0)
+    advertised = {1: {4, 5}, 2: {5}, 3: set()}
+    for peer, neighbors in advertised.items():
+        view.apply_hello(hello(peer, neighbors=neighbors), now=0)
+    for weights in ({1: 1.0}, {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0, 3: 1.0}, {2: 1.0, 3: 1.0}):
+        view.maintain(0, threshold=TH, weights={1: 0.0, 2: 0.0, 3: 0.0, **weights})
+        cb, ceb = view.my_centrality()
+        assert cb == betweenness(view.graph)[0]
+        assert ceb == endpoint_betweenness(view.graph)[0]
