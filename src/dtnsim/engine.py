@@ -21,6 +21,12 @@ generated message has been delivered or has no live copy anywhere; it fails
 when its own trace (for a generated trace, the length its TTL needs) ends
 first.
 
+The social layer (contact windows, weight cache, hello/maintain) runs only
+while an unfinished attached simulation's protocol reads it.  Epidemic
+reads none of it, so a timeline whose active simulations are all epidemic
+only detects contacts and routes.  Nothing attaches once a timeline has
+started, so the layer, once off, stays off.
+
 Contact detection never looks at all n^2 pairs: a sort and sweep on x
 yields the candidate pairs whose x gap is within range (a conservative
 superset), and only those get the exact squared-distance test.  The tracker
@@ -317,16 +323,25 @@ def _check_joinable(base: SimConfig, config: SimConfig) -> None:
 
 @dataclass(frozen=True)
 class _Schedule:
-    """A message workload in injection order and in expiry order."""
+    """A message workload in injection order and in expiry order.
+
+    ``index`` maps a message id to its position in ``messages``.
+    """
 
     messages: list[Message]
     expiries: list[Message]
+    index: dict[int, int]
 
     @classmethod
-    def of(cls, messages: Sequence[Message], tick: float) -> "_Schedule":
+    def of(
+        cls, messages: Sequence[Message], tick: float, index: dict[int, int] | None = None
+    ) -> "_Schedule":
+        """``index`` may be passed in when known to match ``messages``."""
         ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
         return cls(
-            ordered, sorted(ordered, key=lambda m: (m.created_at + m.ttl + tick, m.id))
+            ordered,
+            sorted(ordered, key=lambda m: (m.created_at + m.ttl + tick, m.id)),
+            index if index is not None else {m.id: k for k, m in enumerate(ordered)},
         )
 
 
@@ -344,6 +359,7 @@ _SLOT_ARRAYS = {
 }
 
 _NOTHING: frozenset[int] = frozenset()
+_NO_WEIGHTS: dict[NodeId, float] = {}
 
 
 class _Node:
@@ -378,6 +394,12 @@ class Timeline:
     :meth:`Simulation.run` then advances it tick by tick, stepping every
     attached simulation that has not finished, until that simulation's own
     run ends.  Build one for a group of configs with :func:`shared_timeline`.
+
+    The windows, weights and views are kept only while an unfinished
+    simulation's protocol reads them (any protocol but epidemic); from the
+    tick the last such simulation finishes they are left as they were.  On
+    a timeline of epidemic simulations alone every view stays its owner
+    alone and every node's ``windows`` stays empty.
     """
 
     def __init__(self, config: SimConfig, trace: Trace | None = None) -> None:
@@ -418,6 +440,8 @@ class Timeline:
         # index of the next tick to simulate
         self._next_tick = 0
         self._active: list[Simulation] = []
+        #: whether the social layer runs; set when the timeline starts
+        self._social = True
         self._schedules: dict[float, _Schedule] = {}
 
     def _trace_end(self, config: SimConfig) -> int:
@@ -444,11 +468,13 @@ class Timeline:
         schedule = self._schedules.get(config.ttl)
         if schedule is None:
             if self._schedules:
-                drawn = next(iter(self._schedules.values())).messages
-                messages = [replace(m, ttl=config.ttl) for m in drawn]
+                # the same draw at another TTL: same ids in the same order
+                drawn = next(iter(self._schedules.values()))
+                messages = [replace(m, ttl=config.ttl) for m in drawn.messages]
+                schedule = _Schedule.of(messages, config.tick, drawn.index)
             else:
-                messages = schedule_messages(config)
-            schedule = self._schedules[config.ttl] = _Schedule.of(messages, config.tick)
+                schedule = _Schedule.of(schedule_messages(config), config.tick)
+            self._schedules[config.ttl] = schedule
         return schedule
 
     # -- weight cache ------------------------------------------------------------
@@ -522,8 +548,6 @@ class Timeline:
                 # a newly tracked peer changes the maintain iteration set
                 # even without a threshold flip
                 self._dirty[a] = True
-        if self.cfg.validate:
-            self.contact_log.extend(events)
 
     def _due_refreshes(self, now: float) -> None:
         if now <= self._next_refresh:
@@ -591,22 +615,31 @@ class Timeline:
 
     # -- main loop -------------------------------------------------------------
 
+    def _reads_social(self) -> bool:
+        """Whether an active simulation's protocol reads weights or views."""
+        return any(sim.cfg.protocol is not Protocol.EPIDEMIC for sim in self._active)
+
     def _run_until(self, target: "Simulation") -> None:
         """Advance in lockstep until ``target`` has finished."""
         cfg = self.cfg
         hello_every = int(round(cfg.hello_period / cfg.tick))
+        if not self._next_tick:
+            self._social = self._reads_social()
         while target._outcome is None:
             idx = self._next_tick
             now = idx * cfg.tick
             try:
                 events, pairs = self.tracker.update(self.trace.at(idx), now)
-                self._apply_contact_events(events, now)
-                self._due_refreshes(now)
-                self._compute_weights(now)
-                if idx % hello_every == 0:
-                    self._hello_and_maintain(pairs, now)
-                    if cfg.validate:
-                        self._validate_tick(now)
+                if cfg.validate:
+                    self.contact_log.extend(events)
+                if self._social:
+                    self._apply_contact_events(events, now)
+                    self._due_refreshes(now)
+                    self._compute_weights(now)
+                    if idx % hello_every == 0:
+                        self._hello_and_maintain(pairs, now)
+                        if cfg.validate:
+                            self._validate_tick(now)
             except Exception as exc:
                 # the shared state is now inconsistent for every simulation
                 for sim in self._active:
@@ -623,6 +656,7 @@ class Timeline:
                     finished = True
             if finished:
                 self._active = [sim for sim in self._active if sim._outcome is None]
+                self._social = self._reads_social()
 
 
 def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
@@ -642,7 +676,10 @@ class Simulation:
     (see :func:`shared_timeline`) it joins that timeline's lockstep pass, and
     ``trace`` must be left out.  ``nodes`` (views and contact windows) belong
     to the timeline, so after a grouped run they show the timeline's latest
-    tick, which is this run's last tick when it finished last.
+    tick, which is this run's last tick when it finished last.  The timeline
+    keeps them only while a protocol that reads them is running, so after
+    an epidemic run alone each ``nodes[i].view`` holds only its owner and
+    each ``nodes[i].windows`` is empty.
     """
 
     def __init__(
@@ -671,16 +708,17 @@ class Simulation:
         self.nodes = timeline.nodes
         self.messages = schedule.messages
         self._expiries = schedule.expiries
+        self._index = schedule.index
 
         n = config.node_count
         self.buffers = [Buffer() for _ in range(n)]
         self.delivered: set[int] = set()
         #: destination -> ids delivered to it; nodes without one are absent
         self.delivered_to: dict[NodeId, set[int]] = {}
-        # message id -> bit mask of the nodes buffering a copy.  A sweep keeps
-        # every cell's simulation alive at once, and a set per message would
-        # dominate its memory.
-        self._holders: dict[int, int] = {}
+        # bit mask of the nodes buffering a copy, per position in
+        # self.messages.  A sweep keeps every cell's simulation alive at once,
+        # and a set (or a dict entry) per message would dominate its memory.
+        self._holders = [0] * len(self.messages)
         self.total_forwards = 0
         self._unresolved = len(self.messages)
         self._next_inject = 0
@@ -710,8 +748,8 @@ class Simulation:
         """Message id -> nodes buffering a copy, for every message injected."""
         n = self.cfg.node_count
         return {
-            mid: {i for i in range(n) if mask >> i & 1}
-            for mid, mask in self._holders.items()
+            m.id: {i for i in range(n) if mask >> i & 1}
+            for m, mask in zip(self.messages[: self._next_inject], self._holders)
         }
 
     @property
@@ -732,13 +770,14 @@ class Simulation:
         messages = self.messages
         while self._next_inject < len(messages) and messages[self._next_inject].created_at <= now:
             m = messages[self._next_inject]
+            self._holders[self._next_inject] = 1 << m.src
             self._next_inject += 1
             self.buffers[m.src].insert(m)
-            self._holders[m.id] = 1 << m.src
             self._log(now, "GEN", m.id, m.src, m.dst)
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
         cfg = self.cfg
+        epidemic = cfg.protocol is Protocol.EPIDEMIC
         nodes, buffers, weights = self.nodes, self.buffers, self.timeline.weights
         for u, v in pairs:
             for i, j in ((u, v), (v, u)):
@@ -748,26 +787,31 @@ class Simulation:
                 peer_has = buffers[j].ids() | self.delivered_to.get(j, _NOTHING)
                 if buffer.ids() <= peer_has:
                     continue  # decide skips every message the peer holds
-                view = nodes[i].view
-                cb, ceb = view.my_centrality()
-                ctx = RelayContext(
-                    node=i,
-                    buffer=buffer,
-                    own_weights=_WeightRow(weights[i]),
-                    own_cb=cb,
-                    own_ceb=ceb,
-                    members=view.graph.vertices,
-                    peer_weights=view.peer_weights,
-                    threshold=cfg.threshold,
-                )
-                record = view.peer_centrality.get(j)
-                peer_hello = HelloPayload(
-                    sender=j,
-                    neighbor_list=frozenset(),
-                    sender_cb=record.cb if record else 0,
-                    sender_ceb=record.ceb if record else 0,
-                    link_weights=view.peer_weights.get(j, {}),
-                )
+                if epidemic:
+                    # epidemic reads no weight, view or hello
+                    ctx = RelayContext(node=i, buffer=buffer, own_weights=_NO_WEIGHTS)
+                    peer_hello = None
+                else:
+                    view = nodes[i].view
+                    cb, ceb = view.my_centrality()
+                    ctx = RelayContext(
+                        node=i,
+                        buffer=buffer,
+                        own_weights=_WeightRow(weights[i]),
+                        own_cb=cb,
+                        own_ceb=ceb,
+                        members=view.graph.vertices,
+                        peer_weights=view.peer_weights,
+                        threshold=cfg.threshold,
+                    )
+                    record = view.peer_centrality.get(j)
+                    peer_hello = HelloPayload(
+                        sender=j,
+                        neighbor_list=frozenset(),
+                        sender_cb=record.cb if record else 0,
+                        sender_ceb=record.ceb if record else 0,
+                        link_weights=view.peer_weights.get(j, {}),
+                    )
                 actions = decide(cfg.protocol, ctx, j, peer_hello, peer_has, now)
                 self._apply_actions(i, j, actions, now)
 
@@ -787,10 +831,11 @@ class Simulation:
             else:
                 self._log(now, "FWD", m.id, i, j)
                 self.buffers[j].accept(m, j)
-                self._holders[m.id] |= 1 << j
+                k = self._index[m.id]
+                self._holders[k] |= 1 << j
                 if act.action is Action.FORWARD_AND_DELETE:
                     self.buffers[i].remove(m.id)
-                    self._holders[m.id] &= ~(1 << i)
+                    self._holders[k] &= ~(1 << i)
 
     def _expire(self, now: float) -> None:
         expiries, tick = self._expiries, self.cfg.tick
@@ -799,14 +844,14 @@ class Simulation:
             if m.created_at + m.ttl + tick > now:
                 break
             self._next_expiry += 1
-            mid = m.id
-            mask = self._holders[mid]
+            mid, k = m.id, self._index[m.id]
+            mask = self._holders[k]
             while mask:  # ascending node id
                 holder = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
                 self.buffers[holder].remove(mid)
                 self._log(now, "EXP", mid, holder, -1)
-            self._holders[mid] = 0
+            self._holders[k] = 0
             # resolved: no copy is left, so it can never be delivered now
             if mid not in self.delivered:
                 self._unresolved -= 1

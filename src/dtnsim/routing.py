@@ -186,6 +186,14 @@ def decide(
     Considers every live buffered message the peer does not already hold.
     Direct delivery always wins; otherwise the protocol's conditions apply.
     """
+    # the proposed schemes' fallback: is the peer more central than us?
+    # Neither side depends on the message.
+    more_central = False
+    if peer_hello is not None:
+        if protocol is Protocol.PROPOSED_I:
+            more_central = peer_hello.sender_cb > ctx.own_cb
+        elif protocol is Protocol.PROPOSED_II:
+            more_central = peer_hello.sender_ceb > ctx.own_ceb
     actions: list[ForwardAction] = []
     for m in ctx.buffer:
         if not m.is_live(now) or m.id in peer_has:
@@ -209,13 +217,6 @@ def decide(
                 actions.append(ForwardAction(m.id, Action.FORWARD_AND_DELETE))
             else:
                 actions.append(ForwardAction(m.id, Action.COPY))
-        else:
-            if peer_hello is None:
-                continue
-            if protocol is Protocol.PROPOSED_I:
-                peer_c, own_c = peer_hello.sender_cb, ctx.own_cb
-            else:
-                peer_c, own_c = peer_hello.sender_ceb, ctx.own_ceb
-            if peer_c > own_c:
-                actions.append(ForwardAction(m.id, Action.COPY))
+        elif more_central:
+            actions.append(ForwardAction(m.id, Action.COPY))
     return actions

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from dtnsim.graph import (
@@ -128,6 +129,21 @@ def test_matches_enumeration_oracle_random():
         assert endpoint_betweenness(g) == betweenness_by_enumeration(
             g, include_endpoints=True
         )
+
+
+def test_matches_networkx_oracle_random():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 15)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+        G = nx.Graph()
+        G.add_nodes_from(g.vertices)
+        G.add_edges_from(g.edges())
+        for ours, endpoints in ((betweenness(g), False), (endpoint_betweenness(g), True)):
+            theirs = nx.betweenness_centrality(G, normalized=False, endpoints=endpoints)
+            assert set(ours) == set(theirs)
+            for v, score in ours.items():
+                assert abs(float(score) - theirs[v]) <= 1e-9, (v, endpoints)
 
 
 def test_endpoint_relation_is_exact():

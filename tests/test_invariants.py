@@ -1,0 +1,114 @@
+"""Property tests for the routing bookkeeping invariants.
+
+Small random configs run all four protocols, each at its own TTL, on one
+shared timeline.  After every tick each simulation's holder masks must name
+exactly the buffers holding each message, and its count of unresolved
+messages must equal the messages neither delivered nor expired.  A run must
+end with every message resolved exactly once, never deliver more than it
+generated, and log no forward or delivery of a message after its expiry.
+"""
+
+import io
+
+from hypothesis import given, settings, strategies as st
+
+from dtnsim.engine import SimConfig, Simulation, shared_timeline
+from dtnsim.routing import Protocol
+
+
+class CheckedSimulation(Simulation):
+    """A simulation that checks its bookkeeping after every tick it routes."""
+
+    ticks = 0
+
+    def _step(self, idx, now, pairs):
+        done = super()._step(idx, now, pairs)
+        self.ticks += 1
+        check_holders(self)
+        assert self._unresolved == len(self.messages) - len(self.delivered) - len(
+            expired_undelivered(self, now)
+        )
+        return done
+
+
+def check_holders(sim):
+    holders = sim.holders
+    injected = {m.id for m in sim.messages if m.created_at <= sim.now}
+    assert set(holders) == injected
+    for mid, nodes in holders.items():
+        assert nodes == {i for i, buffer in enumerate(sim.buffers) if mid in buffer}
+    buffered = set().union(*(buffer.ids() for buffer in sim.buffers))
+    assert buffered <= injected
+
+
+def expired_undelivered(sim, now):
+    tick = sim.cfg.tick
+    return {
+        m.id
+        for m in sim.messages
+        if m.created_at + m.ttl + tick <= now and m.id not in sim.delivered
+    }
+
+
+def check_log(text, generated):
+    lines = text.splitlines()
+    assert lines[0] == "time,event,msg_id,from,to"
+    seen, expired = set(), set()
+    for line in lines[1:]:
+        _, kind, mid, _, _ = line.split(",")
+        mid = int(mid)
+        if kind == "GEN":
+            assert mid not in seen
+            seen.add(mid)
+        elif kind == "EXP":
+            expired.add(mid)
+        else:
+            assert kind in ("FWD", "DLV")
+            assert mid in seen and mid not in expired, line
+    assert seen == generated
+
+
+configs = st.builds(
+    SimConfig,
+    node_count=st.integers(2, 8),
+    arena_width=st.floats(10.0, 60.0),
+    arena_height=st.floats(10.0, 60.0),
+    speed=st.floats(0.5, 4.0),
+    pause=st.sampled_from([0.0, 2.0]),
+    comm_range=st.floats(3.0, 25.0),
+    window_size=st.floats(4.0, 40.0),
+    threshold=st.sampled_from([0.0, 0.01, 0.05]),
+    message_count=st.integers(1, 20),
+    generation_span=st.floats(1.0, 30.0),
+    seed=st.integers(0, 10**6),
+    validate=st.booleans(),
+)
+
+
+@settings(max_examples=60)
+@given(base=configs, ttls=st.lists(st.floats(2.0, 40.0), min_size=4, max_size=4))
+def test_bookkeeping_invariants_hold_for_every_protocol(base, ttls):
+    cells = [
+        SimConfig(**{**vars(base), "protocol": protocol, "ttl": ttl})
+        for protocol, ttl in zip(Protocol, ttls)
+    ]
+    timeline = shared_timeline(cells)
+    logs = [io.StringIO() for _ in cells]
+    sims = [
+        CheckedSimulation(config, event_log=log, timeline=timeline)
+        for config, log in zip(cells, logs)
+    ]
+    for sim, log in zip(sims, logs):
+        report = sim.run()
+        generated = {m.id for m in sim.messages}
+        assert sim.ticks == int(round(sim.now / sim.cfg.tick)) + 1
+        assert report.generated == len(generated)
+        assert report.delivered == len(sim.delivered) <= report.generated
+        assert sim.delivered <= generated
+        # resolved exactly once: delivered, or expired while undelivered
+        expired = expired_undelivered(sim, sim.now)
+        assert not sim.delivered & expired
+        assert sim.delivered | expired == generated
+        holders = sim.holders
+        assert all(not holders[mid] for mid in expired)
+        check_log(log.getvalue(), generated)

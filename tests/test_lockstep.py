@@ -47,14 +47,20 @@ def cells(base):
     return [replace(base, protocol=p, ttl=ttl) for p in Protocol for ttl in TTLS]
 
 
-def grouped(configs, order=None):
-    """Reports and event logs of ``configs`` run on one shared timeline."""
+def attach(configs):
+    """Simulations of ``configs`` on one shared timeline, with their logs."""
     timeline = shared_timeline(configs)
     logs = [io.StringIO() for _ in configs]
     sims = [
         Simulation(config, event_log=log, timeline=timeline)
         for config, log in zip(configs, logs)
     ]
+    return timeline, sims, logs
+
+
+def grouped(configs, order=None):
+    """Reports and event logs of ``configs`` run on one shared timeline."""
+    _, sims, logs = attach(configs)
     reports = [None] * len(configs)
     for k in order if order is not None else range(len(configs)):
         reports[k] = sims[k].run()
@@ -218,3 +224,68 @@ def test_trace_without_ticks_is_rejected():
     empty = Trace(node_count=2, duration=1.0, tick=1.0, positions=np.empty((0, 2, 2)))
     with pytest.raises(ValueError, match="no ticks"):
         Simulation(SimConfig(node_count=2), trace=empty)
+
+
+# -- the social layer runs only for protocols that read it ----------------------
+
+
+def logged_run(config):
+    """Report, event-log text and the Simulation of one standalone run."""
+    log = io.StringIO()
+    sim = Simulation(config, event_log=log)
+    return sim.run(), log.getvalue(), sim
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_epidemic_alone_matches_epidemic_grouped_with_proposed2(validate):
+    epidemic = relay_config(validate=validate, ttl=80.0)
+    proposed = replace(epidemic, protocol=Protocol.PROPOSED_II)
+    _, (sim, _), (log, _) = attach([epidemic, proposed])
+    report = sim.run()
+    alone_report, alone_log, alone = logged_run(epidemic)
+    assert (report, log.getvalue()) == (alone_report, alone_log)
+    assert ",FWD," in alone_log
+    assert sim.contact_log == alone.contact_log
+    if validate:
+        assert alone.contact_log  # validate still records every contact event
+
+
+def test_standalone_epidemic_run_skips_hello_and_maintain(monkeypatch):
+    from dtnsim.social import SocialNetworkView
+
+    calls = {"maintain": 0, "make_hello": 0}
+    for name in calls:
+        original = getattr(SocialNetworkView, name)
+
+        def counted(view, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(view, *args, **kwargs)
+
+        monkeypatch.setattr(SocialNetworkView, name, counted)
+    report, log, sim = logged_run(relay_config(ttl=80.0))
+    assert ",FWD," in log and report.delivered > 0
+    assert calls == {"maintain": 0, "make_hello": 0}
+    for node in sim.nodes:
+        assert node.view.graph.vertices == {node.id}
+        assert node.windows == {}
+
+    # the same counters do see a protocol that reads the social layer
+    logged_run(relay_config(ttl=80.0, protocol=Protocol.PROPOSED_II))
+    assert calls["maintain"] > 0 and calls["make_hello"] > 0
+
+
+def test_epidemic_keeps_matching_after_proposed_cell_finishes_first():
+    # epidemic delivers every message at t=176; proposed2 at TTL 20 ends
+    # when its last message expires, at t=168
+    proposed = relay_config(ttl=20.0, protocol=Protocol.PROPOSED_II)
+    epidemic = relay_config(ttl=80.0)
+    timeline, sims, logs = attach([proposed, epidemic])
+    reports = [sims[0].run(), sims[1].run()]
+    # the proposed cell ended first, so the social layer stopped mid-run
+    assert sims[0].now < sims[1].now
+    assert not timeline._social
+    for config, sim, report, log in zip((proposed, epidemic), sims, reports, logs):
+        alone_report, alone_log, alone = logged_run(config)
+        assert (report, log.getvalue()) == (alone_report, alone_log)
+        assert ",FWD," in alone_log
+        assert sim.now == alone.now and sim.holders == alone.holders
