@@ -183,6 +183,18 @@ def parse_config(
         probe.check()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # every sweep value, each in the otherwise valid probe
+    sweeps = (
+        ("nodes", "node_count", spec.node_counts),
+        ("speed", "speed", spec.speeds),
+        ("ttl", "ttl", spec.ttls),
+    )
+    for key, name, values in sweeps:
+        for value in values[1:]:
+            try:
+                replace(probe, **{name: value}).check()
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     return spec
 
 

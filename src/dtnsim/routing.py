@@ -14,6 +14,13 @@ Protocols:
   fallback comparison.
 
 All comparisons are strict: ties never trigger a transfer.
+
+Every input of a forwarding choice (the two link weights toward the
+destination, the peer's standing against our social network, the centrality
+comparison) depends on the destination alone, so :func:`decide` reaches one
+verdict per destination per contact and applies it to each live message
+toward it that the peer lacks.  Link weights are never negative; a destination the peer does not
+advertise (weight 0) therefore never wins on weight.
 """
 
 from __future__ import annotations
@@ -91,7 +98,8 @@ class Buffer:
 
     def __iter__(self) -> Iterator[Message]:
         """Messages in ascending id order (deterministic)."""
-        return iter(sorted(self._messages.values(), key=lambda m: m.id))
+        messages = self._messages
+        return iter([messages[mid] for mid in sorted(messages)])
 
     def ids(self) -> KeysView[int]:
         """Buffered message ids, as a live set-like view."""
@@ -133,7 +141,12 @@ class Buffer:
 
 @dataclass
 class RelayContext:
-    """The slice of a node's state the forwarding decision needs."""
+    """The slice of a node's state the forwarding decision needs.
+
+    Every weight here, and every weight a peer advertises, is non-negative:
+    :func:`decide` relies on it to rule out a weight win for a destination
+    the peer does not advertise without reading ``own_weights``.
+    """
 
     node: NodeId
     buffer: Buffer
@@ -173,6 +186,37 @@ def _beats_whole_network(ctx: RelayContext, peer: NodeId, dest: NodeId, w_peer: 
     return True
 
 
+def _verdict(
+    protocol: Protocol,
+    ctx: RelayContext,
+    peer: NodeId,
+    peer_hello: HelloPayload | None,
+    dest: NodeId,
+    more_central: bool,
+) -> Action | None:
+    """The action for every live message toward ``dest`` (None: keep it)."""
+    if dest == peer:
+        return Action.DELIVER
+    if protocol is Protocol.EPIDEMIC:
+        return Action.COPY
+    w_peer = advertised_weight(peer_hello, dest)
+    if w_peer == 0.0:
+        # weights are non-negative, so an unadvertised destination never
+        # wins on weight (and friendship never holds for it)
+        return Action.COPY if more_central else None
+    w_own = ctx.own_weights.get(dest, 0.0)
+    if protocol is Protocol.FRIENDSHIP:
+        if w_peer > ctx.threshold and w_peer > w_own:
+            return Action.COPY
+        return None
+    # proposed1 / proposed2
+    if w_peer > w_own:
+        if _beats_whole_network(ctx, peer, dest, w_peer):
+            return Action.FORWARD_AND_DELETE
+        return Action.COPY
+    return Action.COPY if more_central else None
+
+
 def decide(
     protocol: Protocol,
     ctx: RelayContext,
@@ -185,6 +229,9 @@ def decide(
 
     Considers every live buffered message the peer does not already hold.
     Direct delivery always wins; otherwise the protocol's conditions apply.
+    Those conditions depend on the destination only, so each destination's
+    verdict is reached once per call and shared by its messages; the weight
+    conditions assume non-negative weights (see :class:`RelayContext`).
     """
     # the proposed schemes' fallback: is the peer more central than us?
     # Neither side depends on the message.
@@ -194,29 +241,18 @@ def decide(
             more_central = peer_hello.sender_cb > ctx.own_cb
         elif protocol is Protocol.PROPOSED_II:
             more_central = peer_hello.sender_ceb > ctx.own_ceb
+    buffer = ctx.buffer
+    verdicts: dict[NodeId, Action | None] = {}
     actions: list[ForwardAction] = []
-    for m in ctx.buffer:
-        if not m.is_live(now) or m.id in peer_has:
-            continue
+    for mid in sorted(buffer.ids() - peer_has):
+        m = buffer.get(mid)
         dest = m.dst
-        if dest == peer:
-            actions.append(ForwardAction(m.id, Action.DELIVER))
-            continue
-        if protocol is Protocol.EPIDEMIC:
-            actions.append(ForwardAction(m.id, Action.COPY))
-            continue
-        w_peer = advertised_weight(peer_hello, dest)
-        w_own = ctx.own_weights.get(dest, 0.0)
-        if protocol is Protocol.FRIENDSHIP:
-            if w_peer > ctx.threshold and w_peer > w_own:
-                actions.append(ForwardAction(m.id, Action.COPY))
-            continue
-        # proposed1 / proposed2
-        if w_peer > w_own:
-            if _beats_whole_network(ctx, peer, dest, w_peer):
-                actions.append(ForwardAction(m.id, Action.FORWARD_AND_DELETE))
-            else:
-                actions.append(ForwardAction(m.id, Action.COPY))
-        elif more_central:
-            actions.append(ForwardAction(m.id, Action.COPY))
+        if dest in verdicts:
+            verdict = verdicts[dest]
+        else:
+            verdict = verdicts[dest] = _verdict(
+                protocol, ctx, peer, peer_hello, dest, more_central
+            )
+        if verdict is not None and m.is_live(now):
+            actions.append(ForwardAction(mid, verdict))
     return actions

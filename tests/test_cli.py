@@ -86,6 +86,21 @@ def test_validation_errors_name_the_key():
         parse_config(None, overrides=desk_overrides(ttl=","))
 
 
+def test_every_nodes_value_is_checked():
+    with pytest.raises(ConfigError, match="nodes: node_count must be at least 2"):
+        parse_config(None, overrides=desk_overrides(nodes="25,1"))
+
+
+def test_every_speed_value_is_checked():
+    with pytest.raises(ConfigError, match="speed: speed must be finite"):
+        parse_config(None, overrides=desk_overrides(speed="1,nan"))
+
+
+def test_every_ttl_value_is_checked():
+    with pytest.raises(ConfigError, match="ttl: ttl must be finite"):
+        parse_config(None, overrides=desk_overrides(ttl="60,inf"))
+
+
 def test_sweep_produces_one_row_per_cell(tmp_path):
     out = tmp_path / "results.csv"
     spec = parse_config(None, overrides=desk_overrides(out=str(out)))

@@ -1,0 +1,161 @@
+"""Differential test: ``routing.decide`` against a per-message reference.
+
+``reference_decide`` is the forwarding decision written message by message:
+it walks the whole buffer in id order and evaluates every condition for each
+message.  ``routing.decide`` reaches one verdict per destination over only
+the messages the peer lacks; both must return the same list for every
+protocol on every input, given non-negative weights.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from dtnsim.contacts import MAX_WEIGHT
+from dtnsim.routing import (
+    Action,
+    Buffer,
+    ForwardAction,
+    Message,
+    Protocol,
+    RelayContext,
+    decide,
+)
+from dtnsim.social import HelloPayload
+
+NODES = range(10)
+NOW = 100.0
+THRESHOLD = 0.01
+
+
+def _reference_beats_whole_network(ctx, peer, dest, w_peer):
+    for member in ctx.members:
+        if member == ctx.node or member == peer:
+            continue
+        cached = ctx.peer_weights.get(member, {}).get(dest, 0.0)
+        if not w_peer > cached:
+            return False
+    return True
+
+
+def reference_decide(protocol, ctx, peer, peer_hello, peer_has, now):
+    """Per-message forwarding decision, every condition for every message."""
+    more_central = False
+    if peer_hello is not None:
+        if protocol is Protocol.PROPOSED_I:
+            more_central = peer_hello.sender_cb > ctx.own_cb
+        elif protocol is Protocol.PROPOSED_II:
+            more_central = peer_hello.sender_ceb > ctx.own_ceb
+    buffered = sorted((ctx.buffer.get(mid) for mid in ctx.buffer.ids()), key=lambda m: m.id)
+    actions = []
+    for m in buffered:
+        if not m.is_live(now) or m.id in peer_has:
+            continue
+        dest = m.dst
+        if dest == peer:
+            actions.append(ForwardAction(m.id, Action.DELIVER))
+            continue
+        if protocol is Protocol.EPIDEMIC:
+            actions.append(ForwardAction(m.id, Action.COPY))
+            continue
+        w_peer = 0.0 if peer_hello is None else peer_hello.link_weights.get(dest, 0.0)
+        w_own = ctx.own_weights.get(dest, 0.0)
+        if protocol is Protocol.FRIENDSHIP:
+            if w_peer > ctx.threshold and w_peer > w_own:
+                actions.append(ForwardAction(m.id, Action.COPY))
+            continue
+        if w_peer > w_own:
+            if _reference_beats_whole_network(ctx, peer, dest, w_peer):
+                actions.append(ForwardAction(m.id, Action.FORWARD_AND_DELETE))
+            else:
+                actions.append(ForwardAction(m.id, Action.COPY))
+        elif more_central:
+            actions.append(ForwardAction(m.id, Action.COPY))
+    return actions
+
+
+centralities = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)])
+random_weight = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def weight_toward(dest, own):
+    """A non-negative weight: 0, the threshold, a tie with ``own``, the
+    sentinel or a random value."""
+    return st.one_of(
+        st.just(0.0),
+        st.just(THRESHOLD),
+        st.just(own.get(dest, 0.0)),
+        st.just(MAX_WEIGHT),
+        random_weight,
+    )
+
+
+@st.composite
+def weight_map(draw, own):
+    dests = draw(st.sets(st.sampled_from(NODES)))
+    return {d: draw(weight_toward(d, own)) for d in sorted(dests)}
+
+
+@st.composite
+def contacts(draw):
+    """One directed contact: the node's context, the peer and its hello."""
+    node, peer = draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=2, unique=True))
+    buffer = Buffer()
+    ids = draw(st.lists(st.integers(0, 59), max_size=30, unique=True))
+    for mid in ids:
+        dst = draw(st.sampled_from(NODES))
+        src = draw(st.sampled_from([n for n in NODES if n != dst]))
+        ttl = draw(st.sampled_from([30.0, 60.0]))
+        # ages straddle ``now - created == ttl``
+        created = NOW - ttl + draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, -ttl]))
+        buffer.insert(Message(id=mid, src=src, dst=dst, created_at=created, ttl=ttl))
+    # ids held by the peer, some buffered here and some not
+    peer_has = draw(st.sets(st.integers(0, 69)))
+    own = {d: draw(st.one_of(st.just(0.0), st.just(THRESHOLD), random_weight)) for d in NODES}
+    members = draw(st.sets(st.sampled_from(NODES)))
+    ctx = RelayContext(
+        node=node,
+        buffer=buffer,
+        own_weights=own,
+        own_cb=draw(centralities),
+        own_ceb=draw(centralities),
+        members=members,
+        peer_weights={x: draw(weight_map(own)) for x in sorted(members | {peer})},
+        threshold=THRESHOLD,
+    )
+    peer_hello = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                HelloPayload,
+                sender=st.just(peer),
+                neighbor_list=st.just(frozenset()),
+                sender_cb=centralities,
+                sender_ceb=centralities,
+                link_weights=weight_map(own),
+            ),
+        )
+    )
+    return ctx, peer, peer_hello, peer_has
+
+
+@settings(max_examples=200)
+@given(contacts())
+def test_decide_matches_the_per_message_reference(contact):
+    ctx, peer, peer_hello, peer_has = contact
+    for protocol in Protocol:
+        expected = reference_decide(protocol, ctx, peer, peer_hello, peer_has, NOW)
+        assert decide(protocol, ctx, peer, peer_hello, peer_has, NOW) == expected
+
+
+@settings(max_examples=50)
+@given(st.lists(contacts(), min_size=2, max_size=4))
+def test_consecutive_calls_share_no_verdicts(contacts_in_turn):
+    # the same buffer seen by several peers in a row, as in one tick
+    buffer = contacts_in_turn[0][0].buffer
+    for ctx, peer, peer_hello, peer_has in contacts_in_turn:
+        ctx.buffer = buffer
+        for protocol in Protocol:
+            expected = reference_decide(protocol, ctx, peer, peer_hello, peer_has, NOW)
+            assert decide(protocol, ctx, peer, peer_hello, peer_has, NOW) == expected
+
