@@ -2,15 +2,15 @@
 
 A run has two parts.  A :class:`Timeline` holds what depends on neither the
 routing protocol nor the TTL: the trace, contact detection, the contact
-windows, the link-weight cache with the ``weights``/``friends`` matrices,
-and the per-node social views with the hello/maintain pass.  A
-:class:`Simulation` holds one configuration's routing state: buffers,
-message holders, deliveries, injection, expiry, metrics and the event log.
-Routing never feeds back into the timeline, so the sweep cells that differ
-only in ``protocol`` and ``ttl`` share one timeline and run in lockstep:
-each tick the timeline advances once, then steps every attached simulation
-that has not finished.  No per-tick state is stored.  A Simulation built
-without a timeline gets one of its own, which is the same code path.
+windows, the link-weight cache, and the per-node social views with the
+hello/maintain pass.  A :class:`Simulation` holds one configuration's
+routing state: buffers, message holders, deliveries, injection, expiry,
+metrics and the event log.  Routing never feeds back into the timeline, so
+the sweep cells that differ only in ``protocol`` and ``ttl`` share one
+timeline and run in lockstep: each tick the timeline advances once, then
+steps every attached simulation that has not finished.  No per-tick state
+is stored.  A Simulation built without a timeline gets one of its own,
+which is the same code path.
 
 Each tick: advance positions, detect contacts (first-hello encounter,
 missed-hello departure), update contact windows, exchange hellos and
@@ -32,14 +32,15 @@ yields the candidate pairs whose x gap is within range (a conservative
 superset), and only those get the exact squared-distance test.  The tracker
 keeps state for open contacts only.
 
-Link weights are cached per slot, one slot per directed pair that has a
-contact window; each tick evaluates the slots' gap decompositions in one
-vectorized pass and scatters them into the dense ``weights``/``friends``
-matrices, whose other entries stay zero.  The cache shares its arithmetic
-with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both paths
-produce bit-identical values (the ``validate`` config flag makes the engine
-assert exactly that, and disables the incremental maintain scheduling in
-favour of maintaining every node every hello tick).
+Link weights live in one place, a cache with one slot per directed pair
+that has a contact window, evaluated for every slot in one vectorized pass
+per tick.  A node's ``{peer: weight}`` map is read from its slots at most
+once per tick and serves routing, the hello payload, maintain and the
+``validate`` checks; nothing is sized n x n.  The cache shares its
+arithmetic with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both
+paths produce bit-identical values (the ``validate`` config flag makes the
+engine assert exactly that, and disables the incremental maintain
+scheduling in favour of maintaining every node every hello tick).
 """
 
 from __future__ import annotations
@@ -321,6 +322,23 @@ def _check_joinable(base: SimConfig, config: SimConfig) -> None:
             )
 
 
+def _check_messages(messages: Sequence[Message], node_count: int) -> None:
+    """Raise ValueError naming the first message with a bad field."""
+    nodes = f"a node id below {node_count}"
+    seen: set[int] = set()
+    for m in messages:
+        for name, ok, rule in (
+            ("id", m.id not in seen, "must be unique"),
+            ("src", m.src in range(node_count), f"must be {nodes}"),
+            ("dst", m.dst in range(node_count), f"must be {nodes}"),
+            ("created_at", math.isfinite(m.created_at), "must be finite"),
+            ("ttl", math.isfinite(m.ttl), "must be finite"),
+        ):
+            if not ok:
+                raise ValueError(f"message {m.id}: {name} {rule} (got {getattr(m, name)!r})")
+        seen.add(m.id)
+
+
 @dataclass(frozen=True)
 class _Schedule:
     """A message workload in injection order and in expiry order.
@@ -355,7 +373,6 @@ _SLOT_ARRAYS = {
     "_refresh_at": (float, math.inf),
     "_was_friend": (bool, False),
     "_row": (np.intp, 0),
-    "_cell": (np.intp, 0),
 }
 
 _NOTHING: frozenset[int] = frozenset()
@@ -363,37 +380,29 @@ _NO_WEIGHTS: dict[NodeId, float] = {}
 
 
 class _Node:
-    __slots__ = ("id", "view", "windows")
+    __slots__ = ("id", "view", "windows", "slots", "weights", "weights_at")
 
     def __init__(self, node_id: NodeId) -> None:
         self.id = node_id
         self.view = SocialNetworkView(node_id)
         self.windows: dict[NodeId, ContactWindow] = {}
-
-
-class _WeightRow:
-    """Read-only mapping view over one row of the weight matrix."""
-
-    __slots__ = ("_row",)
-
-    def __init__(self, row: np.ndarray) -> None:
-        self._row = row
-
-    def get(self, key: NodeId, default: float = 0.0) -> float:
-        if 0 <= key < len(self._row):
-            return float(self._row[key])
-        return default
+        #: peer -> weight-cache slot, for the same peers as ``windows``
+        self.slots: dict[NodeId, int] = {}
+        #: ``{peer: weight}`` read from the slots at time ``weights_at``
+        self.weights = _NO_WEIGHTS
+        self.weights_at: float | None = None
 
 
 class Timeline:
     """The protocol- and TTL-independent part of a run, shared by simulations.
 
-    Holds the trace, the contact tracker, the contact windows, the weight
-    cache with ``weights``/``friends``, and the node views with the
-    hello/maintain pass.  Simulations attach to it before it starts; each
-    :meth:`Simulation.run` then advances it tick by tick, stepping every
-    attached simulation that has not finished, until that simulation's own
-    run ends.  Build one for a group of configs with :func:`shared_timeline`.
+    Holds the trace, the contact tracker, the contact windows, the per-slot
+    weight cache (read through :meth:`link_weights`), and the node views
+    with the hello/maintain pass.  Simulations attach to it before it
+    starts; each :meth:`Simulation.run` then advances it tick by tick,
+    stepping every attached simulation that has not finished, until that
+    simulation's own run ends.  Build one for a group of configs with
+    :func:`shared_timeline`.
 
     The windows, weights and views are kept only while an unfinished
     simulation's protocol reads them (any protocol but epidemic); from the
@@ -423,17 +432,15 @@ class Timeline:
             config.node_count, config.comm_range, config.missed_hello_limit, config.tick
         )
 
-        n = config.node_count
-        self.weights = np.zeros((n, n))
-        self.friends = np.zeros((n, n), dtype=bool)
-        self._dirty = np.zeros(n, dtype=bool)
+        self._dirty = np.zeros(config.node_count, dtype=bool)
         # Weight cache: one slot per directed pair (i, j) that has a contact
-        # window, in creation order.  Slot arrays have spare capacity beyond
-        # len(self._slot_win); see _new_slot.
-        self._slot: dict[tuple[NodeId, NodeId], int] = {}
+        # window, in creation order; nodes[i].slots maps j to it.  Slot
+        # arrays have spare capacity beyond len(self._slot_win); see _new_slot.
         self._slot_win: list[ContactWindow] = []
         for name, (dtype, fill) in _SLOT_ARRAYS.items():
             setattr(self, name, np.full(0, fill, dtype=dtype))
+        #: per-slot link weight at the last _compute_weights
+        self._weight: list[float] = []
         self._next_refresh = float("inf")
 
         self.contact_log: list[ContactEvent] = []
@@ -487,10 +494,9 @@ class Timeline:
                 grown = np.full(size, fill, dtype=dtype)
                 grown[:slot] = getattr(self, name)
                 setattr(self, name, grown)
-        self._slot[i, j] = slot
+        self.nodes[i].slots[j] = slot
         self._slot_win.append(win)
         self._row[slot] = i
-        self._cell[slot] = i * self.cfg.node_count + j
         return slot
 
     def _refresh_slot(self, slot: int, now: float) -> None:
@@ -519,14 +525,26 @@ class Timeline:
         integral = (0.5 * lead * lead + self._mid[:k]) + 0.5 * trail * trail
         weights = np.full_like(integral, MAX_WEIGHT)
         np.divide(w, integral, out=weights, where=integral > 0.0)
-        cell = self._cell[:k]
-        self.weights.reshape(-1)[cell] = weights
+        self._weight = weights.tolist()
         friends = weights > self.cfg.threshold
         flipped = friends != self._was_friend[:k]
         if flipped.any():
-            self.friends.reshape(-1)[cell[flipped]] = friends[flipped]
             self._dirty[self._row[:k][flipped]] = True
             self._was_friend[:k] = friends
+
+    def link_weights(self, i: NodeId, now: float) -> dict[NodeId, float]:
+        """Node ``i``'s ``{peer: weight}`` over its windows, for the tick at
+        ``now`` (whose weights must already be computed).
+
+        Read from the slot cache once per node per tick and shared by every
+        reader, which must not change it.
+        """
+        node = self.nodes[i]
+        if node.weights_at != now:
+            weight = self._weight
+            node.weights = {j: weight[slot] for j, slot in node.slots.items()}
+            node.weights_at = now
+        return node.weights
 
     # -- tick phases -----------------------------------------------------------
 
@@ -534,7 +552,7 @@ class Timeline:
         for ev in events:
             u, v = ev.pair
             for a, b in ((u, v), (v, u)):
-                slot = self._slot.get((a, b))
+                slot = self.nodes[a].slots.get(b)
                 if slot is None:
                     win = self.nodes[a].windows[b] = ContactWindow(b, self.cfg.window_size)
                     slot = self._new_slot(a, b, win)
@@ -557,21 +575,18 @@ class Timeline:
             self._refresh_slot(slot, now)
         self._next_refresh = float(refresh_at.min())
 
-    def _friend_weights(self, i: NodeId) -> dict[NodeId, float]:
-        return {
-            int(k): float(self.weights[i, k]) for k in np.nonzero(self.friends[i])[0]
-        }
-
     def _hello_and_maintain(
         self, pairs: list[tuple[NodeId, NodeId]], now: float
     ) -> None:
         payloads: dict[NodeId, HelloPayload] = {}
+        threshold = self.cfg.threshold
 
         def payload_for(x: NodeId) -> HelloPayload:
             if x not in payloads:
-                payloads[x] = self.nodes[x].view.make_hello(
-                    now, link_weights=self._friend_weights(x)
-                )
+                friends = {
+                    j: w for j, w in self.link_weights(x, now).items() if w > threshold
+                }
+                payloads[x] = self.nodes[x].view.make_hello(now, link_weights=friends)
             return payloads[x]
 
         # maintain reads the friend flags, the window key set and the staged
@@ -588,24 +603,22 @@ class Timeline:
         else:
             todo = np.flatnonzero(self._dirty).tolist()
         for i in todo:
-            node = self.nodes[i]
-            weights_row = {j: float(self.weights[i, j]) for j in node.windows}
-            changed = node.view.maintain(
-                now, threshold=self.cfg.threshold, weights=weights_row
+            self._dirty[i] = self.nodes[i].view.maintain(
+                now, threshold=threshold, weights=self.link_weights(i, now)
             )
-            self._dirty[i] = changed
 
     def _validate_tick(self, now: float) -> None:
         for i, node in enumerate(self.nodes):
+            weights = self.link_weights(i, now)
             for j, win in node.windows.items():
                 scalar = win.link_weight(now)
-                cached = float(self.weights[i, j])
+                cached = weights.get(j)
                 if scalar != cached:
                     raise AssertionError(
                         f"weight cache drift at t={now} pair ({i},{j}): "
                         f"{scalar!r} != {cached!r}"
                     )
-            friends = {j for j in range(self.cfg.node_count) if self.friends[i, j]}
+            friends = {j for j, w in weights.items() if w > self.cfg.threshold}
             view_friends = node.view.graph.neighbors(node.id)
             if friends != view_friends:
                 raise AssertionError(
@@ -692,6 +705,8 @@ class Simulation:
         timeline: Timeline | None = None,
     ) -> None:
         config.check()
+        if messages is not None:
+            _check_messages(messages, config.node_count)
         self.cfg = config
         if timeline is None:
             timeline = Timeline(config, trace)
@@ -740,9 +755,6 @@ class Simulation:
             self._log_fh.write("time,event,msg_id,from,to\n")
         timeline._active.append(self)
 
-    def _default_trace(self) -> Trace:
-        return default_trace(self.cfg)
-
     @property
     def holders(self) -> dict[int, set[NodeId]]:
         """Message id -> nodes buffering a copy, for every message injected."""
@@ -778,7 +790,7 @@ class Simulation:
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
         cfg = self.cfg
         epidemic = cfg.protocol is Protocol.EPIDEMIC
-        nodes, buffers, weights = self.nodes, self.buffers, self.timeline.weights
+        timeline, nodes, buffers = self.timeline, self.nodes, self.buffers
         for u, v in pairs:
             for i, j in ((u, v), (v, u)):
                 buffer = buffers[i]
@@ -788,31 +800,23 @@ class Simulation:
                 if buffer.ids() <= peer_has:
                     continue  # decide skips every message the peer holds
                 if epidemic:
-                    # epidemic reads no weight, view or hello
+                    # epidemic reads no weight or view
                     ctx = RelayContext(node=i, buffer=buffer, own_weights=_NO_WEIGHTS)
-                    peer_hello = None
                 else:
                     view = nodes[i].view
                     cb, ceb = view.my_centrality()
                     ctx = RelayContext(
                         node=i,
                         buffer=buffer,
-                        own_weights=_WeightRow(weights[i]),
+                        own_weights=timeline.link_weights(i, now),
                         own_cb=cb,
                         own_ceb=ceb,
                         members=view.graph.vertices,
                         peer_weights=view.peer_weights,
+                        peer_centrality=view.peer_centrality,
                         threshold=cfg.threshold,
                     )
-                    record = view.peer_centrality.get(j)
-                    peer_hello = HelloPayload(
-                        sender=j,
-                        neighbor_list=frozenset(),
-                        sender_cb=record.cb if record else 0,
-                        sender_ceb=record.ceb if record else 0,
-                        link_weights=view.peer_weights.get(j, {}),
-                    )
-                actions = decide(cfg.protocol, ctx, j, peer_hello, peer_has, now)
+                actions = decide(cfg.protocol, ctx, j, peer_has, now)
                 self._apply_actions(i, j, actions, now)
 
     def _apply_actions(

@@ -19,8 +19,13 @@ Every input of a forwarding choice (the two link weights toward the
 destination, the peer's standing against our social network, the centrality
 comparison) depends on the destination alone, so :func:`decide` reaches one
 verdict per destination per contact and applies it to each live message
-toward it that the peer lacks.  Link weights are never negative; a destination the peer does not
-advertise (weight 0) therefore never wins on weight.
+toward it that the peer lacks.  Link weights are never negative; a
+destination the peer does not advertise (weight 0) therefore never wins on
+weight.
+
+What a node knows of its peer (advertised weights and centralities) is what
+its social view cached from the peer's hellos; :class:`RelayContext` carries
+that cache, so routing does not see the hello format.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 from typing import Collection, Iterator, KeysView, Mapping
 
 from dtnsim.graph import NodeId
-from dtnsim.social import HelloPayload
+from dtnsim.social import PeerRecord
 
 
 class Protocol(enum.Enum):
@@ -131,21 +136,17 @@ class Buffer:
     def remove(self, message_id: int) -> Message | None:
         return self._messages.pop(message_id, None)
 
-    def expire(self, now: float) -> list[Message]:
-        """Drop every message older than its TTL; returns the casualties."""
-        dead = [m for m in self._messages.values() if not m.is_live(now)]
-        for m in dead:
-            del self._messages[m.id]
-        return sorted(dead, key=lambda m: m.id)
-
 
 @dataclass
 class RelayContext:
     """The slice of a node's state the forwarding decision needs.
 
-    Every weight here, and every weight a peer advertises, is non-negative:
-    :func:`decide` relies on it to rule out a weight win for a destination
-    the peer does not advertise without reading ``own_weights``.
+    ``peer_weights`` and ``peer_centrality`` are the node's caches of what
+    its peers last advertised; :func:`decide` reads the contacted peer's
+    entries there (absent: no weights, centralities 0).  Every weight here
+    is non-negative: :func:`decide` relies on it to rule out a weight win
+    for a destination the peer does not advertise without reading
+    ``own_weights``.
     """
 
     node: NodeId
@@ -156,21 +157,11 @@ class RelayContext:
     own_ceb: Fraction | float = 0
     #: vertices of this node's social network view
     members: Collection[NodeId] = ()
-    #: cached advertised weights per view member
+    #: advertised weights per peer heard from (view members and contacts)
     peer_weights: Mapping[NodeId, Mapping[NodeId, float]] = field(default_factory=dict)
+    #: advertised centralities per peer heard from
+    peer_centrality: Mapping[NodeId, PeerRecord] = field(default_factory=dict)
     threshold: float = 0.01
-
-
-def advertised_weight(hello: HelloPayload | None, dest: NodeId) -> float:
-    """The sender's advertised link weight toward ``dest`` (0 if unknown)."""
-    if hello is None:
-        return 0.0
-    return hello.link_weights.get(dest, 0.0)
-
-
-def weight_exchange(buffer: Buffer, hello: HelloPayload | None) -> dict[NodeId, float]:
-    """Peer weights toward the destinations of our buffered messages."""
-    return {m.dst: advertised_weight(hello, m.dst) for m in buffer}
 
 
 def _beats_whole_network(ctx: RelayContext, peer: NodeId, dest: NodeId, w_peer: float) -> bool:
@@ -190,7 +181,7 @@ def _verdict(
     protocol: Protocol,
     ctx: RelayContext,
     peer: NodeId,
-    peer_hello: HelloPayload | None,
+    peer_weights: Mapping[NodeId, float],
     dest: NodeId,
     more_central: bool,
 ) -> Action | None:
@@ -199,7 +190,7 @@ def _verdict(
         return Action.DELIVER
     if protocol is Protocol.EPIDEMIC:
         return Action.COPY
-    w_peer = advertised_weight(peer_hello, dest)
+    w_peer = peer_weights.get(dest, 0.0)
     if w_peer == 0.0:
         # weights are non-negative, so an unadvertised destination never
         # wins on weight (and friendship never holds for it)
@@ -221,7 +212,6 @@ def decide(
     protocol: Protocol,
     ctx: RelayContext,
     peer: NodeId,
-    peer_hello: HelloPayload | None,
     peer_has: Collection[int],
     now: float,
 ) -> list[ForwardAction]:
@@ -229,18 +219,21 @@ def decide(
 
     Considers every live buffered message the peer does not already hold.
     Direct delivery always wins; otherwise the protocol's conditions apply.
-    Those conditions depend on the destination only, so each destination's
-    verdict is reached once per call and shared by its messages; the weight
-    conditions assume non-negative weights (see :class:`RelayContext`).
+    The peer's advertised weights and centralities come from ``ctx``'s
+    caches.  The conditions depend on the destination only, so each
+    destination's verdict is reached once per call and shared by its
+    messages; the weight conditions assume non-negative weights (see
+    :class:`RelayContext`).
     """
     # the proposed schemes' fallback: is the peer more central than us?
     # Neither side depends on the message.
     more_central = False
-    if peer_hello is not None:
-        if protocol is Protocol.PROPOSED_I:
-            more_central = peer_hello.sender_cb > ctx.own_cb
-        elif protocol is Protocol.PROPOSED_II:
-            more_central = peer_hello.sender_ceb > ctx.own_ceb
+    record = ctx.peer_centrality.get(peer)
+    if protocol is Protocol.PROPOSED_I:
+        more_central = (record.cb if record else 0) > ctx.own_cb
+    elif protocol is Protocol.PROPOSED_II:
+        more_central = (record.ceb if record else 0) > ctx.own_ceb
+    peer_weights = ctx.peer_weights.get(peer, {})
     buffer = ctx.buffer
     verdicts: dict[NodeId, Action | None] = {}
     actions: list[ForwardAction] = []
@@ -251,7 +244,7 @@ def decide(
             verdict = verdicts[dest]
         else:
             verdict = verdicts[dest] = _verdict(
-                protocol, ctx, peer, peer_hello, dest, more_central
+                protocol, ctx, peer, peer_weights, dest, more_central
             )
         if verdict is not None and m.is_live(now):
             actions.append(ForwardAction(mid, verdict))

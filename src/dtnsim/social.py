@@ -42,7 +42,6 @@ class PeerRecord:
 
     cb: Fraction | float
     ceb: Fraction | float
-    stamped_at: float
 
 
 class SocialNetworkView:
@@ -67,9 +66,7 @@ class SocialNetworkView:
         changed: a sender with none staged, or a different neighbor list.
         """
         sender = payload.sender
-        self.peer_centrality[sender] = PeerRecord(
-            payload.sender_cb, payload.sender_ceb, now
-        )
+        self.peer_centrality[sender] = PeerRecord(payload.sender_cb, payload.sender_ceb)
         self.peer_weights[sender] = dict(payload.link_weights)
         advertised = frozenset(payload.neighbor_list)
         changed = self._advertised.get(sender) != advertised

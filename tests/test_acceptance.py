@@ -30,7 +30,7 @@ from dtnsim.routing import (
     RelayContext,
     decide,
 )
-from dtnsim.social import HelloPayload, SocialNetworkView
+from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
 from test_contacts import build_window, quadrature_weight
 
@@ -209,17 +209,15 @@ def test_criterion_5_forwarding_rule_conformance():
             own_cb=own_cb,
             own_ceb=own_ceb,
             members=members,
-            peer_weights=peer_weights or {},
+            # the peer's last hello, as the node's view caches it
+            peer_weights={
+                **(peer_weights or {}),
+                peer: {} if peer_w is None else {dst: peer_w},
+            },
+            peer_centrality={peer: PeerRecord(peer_cb, peer_ceb)},
             threshold=0.01,
         )
-        hello = HelloPayload(
-            sender=peer,
-            neighbor_list=frozenset(),
-            sender_cb=peer_cb,
-            sender_ceb=peer_ceb,
-            link_weights={} if peer_w is None else {dst: peer_w},
-        )
-        got = decide(protocol, ctx, peer, hello, peer_has, now)
+        got = decide(protocol, ctx, peer, peer_has, now)
         want = [] if expect is None else [ForwardAction(0, expect)]
         return got == want
 

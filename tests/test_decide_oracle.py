@@ -4,7 +4,8 @@
 it walks the whole buffer in id order and evaluates every condition for each
 message.  ``routing.decide`` reaches one verdict per destination over only
 the messages the peer lacks; both must return the same list for every
-protocol on every input, given non-negative weights.
+protocol on every input, given non-negative weights.  Both read the peer's
+advertised weights and centralities from the context's caches.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from dtnsim.routing import (
     RelayContext,
     decide,
 )
-from dtnsim.social import HelloPayload
+from dtnsim.social import PeerRecord
 
 NODES = range(10)
 NOW = 100.0
@@ -38,14 +39,15 @@ def _reference_beats_whole_network(ctx, peer, dest, w_peer):
     return True
 
 
-def reference_decide(protocol, ctx, peer, peer_hello, peer_has, now):
+def reference_decide(protocol, ctx, peer, peer_has, now):
     """Per-message forwarding decision, every condition for every message."""
+    # a peer never heard from has no weights and centralities 0
+    record = ctx.peer_centrality.get(peer, PeerRecord(0, 0))
     more_central = False
-    if peer_hello is not None:
-        if protocol is Protocol.PROPOSED_I:
-            more_central = peer_hello.sender_cb > ctx.own_cb
-        elif protocol is Protocol.PROPOSED_II:
-            more_central = peer_hello.sender_ceb > ctx.own_ceb
+    if protocol is Protocol.PROPOSED_I:
+        more_central = record.cb > ctx.own_cb
+    elif protocol is Protocol.PROPOSED_II:
+        more_central = record.ceb > ctx.own_ceb
     buffered = sorted((ctx.buffer.get(mid) for mid in ctx.buffer.ids()), key=lambda m: m.id)
     actions = []
     for m in buffered:
@@ -58,7 +60,7 @@ def reference_decide(protocol, ctx, peer, peer_hello, peer_has, now):
         if protocol is Protocol.EPIDEMIC:
             actions.append(ForwardAction(m.id, Action.COPY))
             continue
-        w_peer = 0.0 if peer_hello is None else peer_hello.link_weights.get(dest, 0.0)
+        w_peer = ctx.peer_weights.get(peer, {}).get(dest, 0.0)
         w_own = ctx.own_weights.get(dest, 0.0)
         if protocol is Protocol.FRIENDSHIP:
             if w_peer > ctx.threshold and w_peer > w_own:
@@ -98,7 +100,7 @@ def weight_map(draw, own):
 
 @st.composite
 def contacts(draw):
-    """One directed contact: the node's context, the peer and its hello."""
+    """One directed contact: the node's context, the peer and what it holds."""
     node, peer = draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=2, unique=True))
     buffer = Buffer()
     ids = draw(st.lists(st.integers(0, 59), max_size=30, unique=True))
@@ -113,6 +115,8 @@ def contacts(draw):
     peer_has = draw(st.sets(st.integers(0, 69)))
     own = {d: draw(st.one_of(st.just(0.0), st.just(THRESHOLD), random_weight)) for d in NODES}
     members = draw(st.sets(st.sampled_from(NODES)))
+    # peers whose hello the node cached; at times not the contacted one
+    heard = members | {peer} if draw(st.booleans()) else members - {peer}
     ctx = RelayContext(
         node=node,
         buffer=buffer,
@@ -120,32 +124,22 @@ def contacts(draw):
         own_cb=draw(centralities),
         own_ceb=draw(centralities),
         members=members,
-        peer_weights={x: draw(weight_map(own)) for x in sorted(members | {peer})},
+        peer_weights={x: draw(weight_map(own)) for x in sorted(heard)},
+        peer_centrality={
+            x: PeerRecord(draw(centralities), draw(centralities)) for x in sorted(heard)
+        },
         threshold=THRESHOLD,
     )
-    peer_hello = draw(
-        st.one_of(
-            st.none(),
-            st.builds(
-                HelloPayload,
-                sender=st.just(peer),
-                neighbor_list=st.just(frozenset()),
-                sender_cb=centralities,
-                sender_ceb=centralities,
-                link_weights=weight_map(own),
-            ),
-        )
-    )
-    return ctx, peer, peer_hello, peer_has
+    return ctx, peer, peer_has
 
 
 @settings(max_examples=200)
 @given(contacts())
 def test_decide_matches_the_per_message_reference(contact):
-    ctx, peer, peer_hello, peer_has = contact
+    ctx, peer, peer_has = contact
     for protocol in Protocol:
-        expected = reference_decide(protocol, ctx, peer, peer_hello, peer_has, NOW)
-        assert decide(protocol, ctx, peer, peer_hello, peer_has, NOW) == expected
+        expected = reference_decide(protocol, ctx, peer, peer_has, NOW)
+        assert decide(protocol, ctx, peer, peer_has, NOW) == expected
 
 
 @settings(max_examples=50)
@@ -153,9 +147,9 @@ def test_decide_matches_the_per_message_reference(contact):
 def test_consecutive_calls_share_no_verdicts(contacts_in_turn):
     # the same buffer seen by several peers in a row, as in one tick
     buffer = contacts_in_turn[0][0].buffer
-    for ctx, peer, peer_hello, peer_has in contacts_in_turn:
+    for ctx, peer, peer_has in contacts_in_turn:
         ctx.buffer = buffer
         for protocol in Protocol:
-            expected = reference_decide(protocol, ctx, peer, peer_hello, peer_has, NOW)
-            assert decide(protocol, ctx, peer, peer_hello, peer_has, NOW) == expected
+            expected = reference_decide(protocol, ctx, peer, peer_has, NOW)
+            assert decide(protocol, ctx, peer, peer_has, NOW) == expected
 

@@ -1,4 +1,6 @@
 import io
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,9 @@ from dtnsim.engine import (
     ContactTracker,
     SimConfig,
     Simulation,
+    Timeline,
     TraceExhaustedError,
+    default_trace,
     replicate,
     run,
     schedule_messages,
@@ -228,6 +232,42 @@ def test_trace_exhausted_raises():
         run(cfg, trace=trace, messages=messages)
 
 
+def message(**fields):
+    base = dict(id=3, src=0, dst=1, created_at=5.0, ttl=60.0)
+    base.update(fields)
+    return Message(**base)
+
+
+@pytest.mark.parametrize(
+    "messages, field",
+    [
+        ([message(dst=9)], "dst"),
+        ([message(src=-1)], "src"),
+        ([message(created_at=math.nan)], "created_at"),
+        ([message(ttl=math.inf)], "ttl"),
+        ([message(), message(dst=2)], "id"),
+    ],
+)
+def test_malformed_messages_are_rejected(messages, field):
+    cfg = SimConfig(node_count=5, message_count=len(messages))
+    trace = still_trace([(2.0 * k, 0.0) for k in range(5)], 20)
+    with pytest.raises(ValueError, match=rf"^message 3: {field} "):
+        Simulation(cfg, trace=trace, messages=messages)
+
+
+def test_timeline_memory_grows_with_nodes_not_pairs():
+    # one 2,000 x 2,000 float matrix alone would be 32 MB
+    n = 2000
+    trace = Trace(node_count=n, duration=0.0, tick=1.0, positions=np.zeros((1, n, 2)))
+    tracemalloc.start()
+    try:
+        Timeline(SimConfig(node_count=n), trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
 # -- whole-run invariants ----------------------------------------------------------------
 
 
@@ -306,7 +346,7 @@ def test_incremental_maintain_equals_full_maintain():
 
 def shared_workload(ttl=40.0):
     cfg = dense_config(validate=False)
-    trace = Simulation(cfg)._default_trace()
+    trace = default_trace(cfg)
     messages = schedule_messages(cfg)
     return cfg, trace, messages
 

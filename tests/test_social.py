@@ -75,7 +75,7 @@ def test_apply_hello_caches_centralities_and_weights():
     view = SocialNetworkView(0)
     view.apply_hello(hello(1, cb=2.5, ceb=4.0, weights={7: 0.3}), now=12)
     record = view.peer_centrality[1]
-    assert (record.cb, record.ceb, record.stamped_at) == (2.5, 4.0, 12)
+    assert (record.cb, record.ceb) == (2.5, 4.0)
     assert view.peer_weights[1] == {7: 0.3}
     # does not touch the graph
     assert set(view.graph.vertices) == {0}
@@ -86,7 +86,6 @@ def test_apply_hello_last_writer_wins():
     view.apply_hello(hello(1, cb=1), now=5)
     view.apply_hello(hello(1, cb=9), now=6)
     assert view.peer_centrality[1].cb == 9
-    assert view.peer_centrality[1].stamped_at == 6
 
 
 def test_apply_hello_from_unknown_node_is_cached():
