@@ -586,16 +586,16 @@ class Timeline:
                 friends = {
                     j: w for j, w in self.link_weights(x, now).items() if w > threshold
                 }
-                payloads[x] = self.nodes[x].view.make_hello(now, link_weights=friends)
+                payloads[x] = self.nodes[x].view.make_hello(link_weights=friends)
             return payloads[x]
 
         # maintain reads the friend flags, the window key set and the staged
         # advertisements; the first two mark nodes dirty where they change,
         # and apply_hello reports a changed advertisement
         for u, v in pairs:
-            if self.nodes[v].view.apply_hello(payload_for(u), now):
+            if self.nodes[v].view.apply_hello(payload_for(u)):
                 self._dirty[v] = True
-            if self.nodes[u].view.apply_hello(payload_for(v), now):
+            if self.nodes[u].view.apply_hello(payload_for(v)):
                 self._dirty[u] = True
 
         if self.cfg.validate:

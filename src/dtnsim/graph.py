@@ -2,14 +2,18 @@
 
 Centrality scores are exact rationals (``fractions.Fraction``), so identities
 like "endpoint-included minus plain betweenness equals the reachable-vertex
-count" hold without floating-point slack.  Graphs in this simulator stay small
-(local views of a few dozen vertices), so exactness is cheap.
+count" hold without floating-point slack.  A single vertex's score
+(:func:`ego_centrality`) sums integer path counts and builds one
+``Fraction`` at the end, so exactness costs no rational arithmetic per pair;
+the all-vertex passes (:func:`betweenness`, :func:`endpoint_betweenness`)
+accumulate in ``Fraction`` and serve as its oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 NodeId = int
@@ -162,6 +166,31 @@ def _sssp_counts(g: SocialGraph, s: NodeId):
     return order, preds, sigma, dist
 
 
+def _path_counts(adj: dict[NodeId, set[NodeId]], s: NodeId):
+    """Level-by-level BFS from ``s``: distances and shortest-path counts.
+
+    Both dicts list the vertices ``s`` reaches in BFS order, ``s`` first.
+    """
+    dist: dict[NodeId, int] = {s: 0}
+    sigma: dict[NodeId, int] = {s: 1}
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            sv = sigma[v]
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = d
+                    sigma[w] = sv
+                    nxt.append(w)
+                elif dist[w] == d:
+                    sigma[w] += sv
+        frontier = nxt
+    return dist, sigma
+
+
 def _brandes(g: SocialGraph, include_endpoints: bool) -> dict[NodeId, Fraction]:
     """Dependency accumulation over all sources; unordered pairs (halved)."""
     score: dict[NodeId, Fraction] = {v: Fraction(0) for v in g.vertices}
@@ -195,6 +224,37 @@ def endpoint_betweenness(g: SocialGraph) -> dict[NodeId, Fraction]:
     the interior contributions.
     """
     return _brandes(g, include_endpoints=True)
+
+
+def ego_centrality(g: SocialGraph, o: NodeId) -> tuple[Fraction, Fraction]:
+    """``(betweenness(g)[o], endpoint_betweenness(g)[o])`` without scoring
+    any other vertex.
+
+    Pair-dependency form of Brandes (2001): ``o`` lies on
+    ``sigma_so * sigma_ot`` of the ``sigma_st`` shortest s-t paths exactly
+    when ``d(s, o) + d(o, t) == d(s, t)``.  One BFS from ``o`` and one from
+    each other vertex it reaches give every distance and path count; the
+    integer numerators are summed per denominator ``sigma_st``, and one
+    ``Fraction`` is built at the end.  The endpoint-biased value adds one
+    per vertex ``o`` reaches.
+    """
+    adj = g._adj
+    if o not in adj:
+        raise UnknownVertexError(o)
+    dist_o, sigma_o = _path_counts(adj, o)
+    others = list(dist_o)[1:]
+    # denominator sigma_st -> summed numerators sigma_so * sigma_ot
+    sums: dict[int, int] = {}
+    for i, s in enumerate(others[:-1]):
+        d_so, sigma_so = dist_o[s], sigma_o[s]
+        dist_s, sigma_s = _path_counts(adj, s)
+        for t in others[i + 1 :]:
+            if d_so + dist_o[t] == dist_s[t]:
+                k = sigma_s[t]
+                sums[k] = sums.get(k, 0) + sigma_so * sigma_o[t]
+    common = lcm(*sums)
+    cb = Fraction(sum(n * (common // k) for k, n in sums.items()), common)
+    return cb, cb + len(others)
 
 
 def betweenness_by_enumeration(
@@ -255,9 +315,8 @@ def expanded_ego_betweenness(
     g: SocialGraph, ego: NodeId, endpoint_biased: bool = False
 ) -> Fraction:
     """The ego's betweenness computed on its own expanded ego network."""
-    sub = extract_expanded_ego(g, ego)
-    scores = endpoint_betweenness(sub) if endpoint_biased else betweenness(sub)
-    return scores[ego]
+    cb, ceb = ego_centrality(extract_expanded_ego(g, ego), ego)
+    return ceb if endpoint_biased else cb
 
 
 # -- debug dump format --------------------------------------------------------

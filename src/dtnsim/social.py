@@ -17,12 +17,16 @@ from fractions import Fraction
 from typing import Mapping
 
 from dtnsim.contacts import ContactWindow
-from dtnsim.graph import NodeId, SocialGraph, betweenness
+from dtnsim.graph import NodeId, SocialGraph, ego_centrality
 
 
 @dataclass(frozen=True)
 class HelloPayload:
-    """What a node broadcasts: who it is friends with and how central it is."""
+    """What a node broadcasts: who it is friends with and how central it is.
+
+    Every receiver stores ``link_weights`` as it is, so the map is shared by
+    the payload and the views that heard it, and must not be mutated.
+    """
 
     sender: NodeId
     neighbor_list: frozenset[NodeId]
@@ -51,7 +55,9 @@ class SocialNetworkView:
         self.owner = owner
         self.graph = SocialGraph(vertices=[owner])
         self.peer_centrality: dict[NodeId, PeerRecord] = {}
-        self.peer_weights: dict[NodeId, dict[NodeId, float]] = {}
+        #: each peer's last advertised weights: the hello payload's own map,
+        #: shared with every view that heard it, so never mutated
+        self.peer_weights: dict[NodeId, Mapping[NodeId, float]] = {}
         # last advertised neighbor list per peer; staged for the next maintain
         self._advertised: dict[NodeId, frozenset[NodeId]] = {}
         self.revision = 0
@@ -59,7 +65,7 @@ class SocialNetworkView:
 
     # -- hello handling ------------------------------------------------------
 
-    def apply_hello(self, payload: HelloPayload, now: float) -> bool:
+    def apply_hello(self, payload: HelloPayload) -> bool:
         """Cache a received hello.  Does not touch the graph; maintain does.
 
         Returns True when the advertisement staged for the next maintain
@@ -67,20 +73,21 @@ class SocialNetworkView:
         """
         sender = payload.sender
         self.peer_centrality[sender] = PeerRecord(payload.sender_cb, payload.sender_ceb)
-        self.peer_weights[sender] = dict(payload.link_weights)
+        self.peer_weights[sender] = payload.link_weights
         advertised = frozenset(payload.neighbor_list)
         changed = self._advertised.get(sender) != advertised
         self._advertised[sender] = advertised
         return changed
 
     def make_hello(
-        self, now: float, link_weights: Mapping[NodeId, float] | None = None
+        self, link_weights: Mapping[NodeId, float] | None = None
     ) -> HelloPayload:
         """Build this node's broadcast payload.
 
         ``link_weights`` is supplied by the owner of the contact windows
         (this view has no access to them) and should already be filtered to
-        above-threshold peers.
+        above-threshold peers.  The payload keeps a copy, so a later edit
+        of the caller's map does not reach the receivers.
         """
         cb, ceb = self.my_centrality()
         return HelloPayload(
@@ -97,14 +104,13 @@ class SocialNetworkView:
         """(plain, endpoint-biased) betweenness of the owner on its own view.
 
         The view graph is already the owner's expanded ego network, so no
-        further extraction is needed.  The endpoint-biased value adds one
-        per vertex the owner reaches (each pair it belongs to), so one
-        Brandes pass gives both.
+        further extraction is needed.  :func:`~dtnsim.graph.ego_centrality`
+        scores the owner alone, in integer path counts, and gives both; the
+        result is cached until the view's revision changes.
         """
         if self._centrality_cache and self._centrality_cache[0] == self.revision:
             return self._centrality_cache[1]
-        cb = betweenness(self.graph)[self.owner]
-        ceb = cb + len(self.graph.reachable_from(self.owner))
+        cb, ceb = ego_centrality(self.graph, self.owner)
         self._centrality_cache = (self.revision, (cb, ceb))
         return cb, ceb
 
@@ -130,7 +136,7 @@ class SocialNetworkView:
             if windows is None:
                 raise ValueError("maintain needs either windows or weights")
             weights = {j: w.link_weight(now) for j, w in windows.items()}
-        before = {v: frozenset(self.graph.neighbors(v)) for v in self.graph.vertices}
+        before = self.graph.copy()
         for j in sorted(weights):
             if j == self.owner:
                 continue
@@ -149,8 +155,7 @@ class SocialNetworkView:
         for v in [v for v in self.graph.vertices if v != self.owner]:
             if self.graph.degree(v) == 0:
                 self.graph.remove_vertex(v)
-        after = {v: frozenset(self.graph.neighbors(v)) for v in self.graph.vertices}
-        changed = before != after
+        changed = self.graph != before
         if changed:
             self.revision += 1
         return changed

@@ -144,9 +144,7 @@ def test_criterion_4_network_construction_conformance():
     win = ContactWindow(1, 10)
     win.record_encounter(4)
     win.record_departure(6)
-    view.apply_hello(
-        HelloPayload(sender=1, neighbor_list=frozenset({2})), now=10
-    )
+    view.apply_hello(HelloPayload(sender=1, neighbor_list=frozenset({2})))
     view.maintain(10, threshold=threshold, windows={1: win})
     ok &= set(view.graph.vertices) == {0, 1, 2}
     ok &= sorted(view.graph.edges()) == [(0, 1), (1, 2)]
@@ -165,8 +163,8 @@ def test_criterion_4_network_construction_conformance():
         return w
 
     view = SocialNetworkView(0)
-    view.apply_hello(HelloPayload(1, frozenset({9})), now=600)
-    view.apply_hello(HelloPayload(2, frozenset({9})), now=600)
+    view.apply_hello(HelloPayload(1, frozenset({9})))
+    view.apply_hello(HelloPayload(2, frozenset({9})))
     view.maintain(600, threshold=threshold, windows={1: strong(1), 2: strong(2)})
     ok &= set(view.graph.vertices) == {0, 1, 2, 9}
     fresh = ContactWindow(2, 600)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.graph import (
     SocialGraph,
@@ -10,6 +11,7 @@ from dtnsim.graph import (
     betweenness,
     betweenness_by_enumeration,
     dump_edges,
+    ego_centrality,
     endpoint_betweenness,
     expanded_ego_betweenness,
     extract_expanded_ego,
@@ -177,6 +179,41 @@ def test_scores_nonnegative_and_isolated_vertex_invariance():
         cb2 = betweenness(extended)
         assert all(cb2[v] == cb[v] for v in g.vertices)
         assert cb2[999] == 0
+
+
+# -- owner-only centrality -------------------------------------------------------
+
+
+@st.composite
+def graphs_with_owner(draw):
+    """A graph of 1-25 vertices, often disconnected, and one of its vertices."""
+    n = draw(st.integers(1, 25))
+    p = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+    return g, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200)
+@given(graphs_with_owner())
+@example((SocialGraph(vertices=[0]), 0))
+@example((SocialGraph(vertices=range(4), edges=[(0, 1), (2, 3)]), 1))
+def test_ego_centrality_matches_brandes_and_networkx(case):
+    g, o = case
+    cb, ceb = ego_centrality(g, o)
+    assert type(cb) is Fraction and type(ceb) is Fraction
+    assert (cb, ceb) == (betweenness(g)[o], endpoint_betweenness(g)[o])
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges())
+    plain = nx.betweenness_centrality(G, normalized=False)[o]
+    endpoint = nx.betweenness_centrality(G, normalized=False, endpoints=True)[o]
+    assert abs(float(cb) - plain) <= 1e-9
+    assert abs(float(ceb) - endpoint) <= 1e-9
+
+
+def test_ego_centrality_unknown_vertex():
+    with pytest.raises(UnknownVertexError):
+        ego_centrality(SocialGraph(edges=[(0, 1)]), 7)
 
 
 # -- expanded ego networks -------------------------------------------------------

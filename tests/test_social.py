@@ -60,20 +60,20 @@ def test_payload_rejects_self_in_neighbor_list():
 
 def test_apply_hello_reports_a_changed_advertisement():
     view = SocialNetworkView(0)
-    assert view.apply_hello(hello(1, neighbors={2}), now=1)  # new sender
+    assert view.apply_hello(hello(1, neighbors={2}))  # new sender
     # same neighbor list: centralities and weights refresh, nothing to maintain
-    assert not view.apply_hello(hello(1, neighbors={2}, cb=5, weights={2: 0.5}), now=2)
+    assert not view.apply_hello(hello(1, neighbors={2}, cb=5, weights={2: 0.5}))
     assert view.peer_centrality[1].cb == 5
-    assert view.apply_hello(hello(1, neighbors={2, 3}), now=3)
+    assert view.apply_hello(hello(1, neighbors={2, 3}))
     # an evicted friend's advertisement is dropped, so its next hello is new
     view.maintain(3, threshold=TH, weights={1: 1.0})
     view.maintain(4, threshold=TH, weights={1: 0.0})
-    assert view.apply_hello(hello(1, neighbors={2, 3}), now=5)
+    assert view.apply_hello(hello(1, neighbors={2, 3}))
 
 
 def test_apply_hello_caches_centralities_and_weights():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, cb=2.5, ceb=4.0, weights={7: 0.3}), now=12)
+    view.apply_hello(hello(1, cb=2.5, ceb=4.0, weights={7: 0.3}))
     record = view.peer_centrality[1]
     assert (record.cb, record.ceb) == (2.5, 4.0)
     assert view.peer_weights[1] == {7: 0.3}
@@ -83,14 +83,14 @@ def test_apply_hello_caches_centralities_and_weights():
 
 def test_apply_hello_last_writer_wins():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, cb=1), now=5)
-    view.apply_hello(hello(1, cb=9), now=6)
+    view.apply_hello(hello(1, cb=1))
+    view.apply_hello(hello(1, cb=9))
     assert view.peer_centrality[1].cb == 9
 
 
 def test_apply_hello_from_unknown_node_is_cached():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(42, neighbors={3}), now=1)
+    view.apply_hello(hello(42, neighbors={3}))
     view.maintain(600, threshold=TH, windows={42: strong_window(42)})
     assert 42 in view.graph.vertices
     assert 3 in view.graph.vertices
@@ -104,7 +104,7 @@ def test_add_friend_and_merge_advertised_neighbors():
     win = ContactWindow(1, 10)
     win.record_encounter(4)
     win.record_departure(6)
-    view.apply_hello(hello(1, neighbors={2}), now=10)
+    view.apply_hello(hello(1, neighbors={2}))
     view.maintain(10, threshold=TH, windows={1: win})
     assert set(view.graph.vertices) == {0, 1, 2}
     assert sorted(view.graph.edges()) == [(0, 1), (1, 2)]
@@ -112,7 +112,7 @@ def test_add_friend_and_merge_advertised_neighbors():
 
 def test_losing_friend_removes_learned_neighborhood():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, neighbors={2}), now=600)
+    view.apply_hello(hello(1, neighbors={2}))
     view.maintain(600, threshold=TH, windows={1: strong_window(1)})
     assert set(view.graph.vertices) == {0, 1, 2}
     view.maintain(1600, threshold=TH, windows={1: weak_window(1)})
@@ -133,8 +133,8 @@ def test_threshold_boundary_does_not_create_edge():
 
 def test_shared_two_hop_vertex_survives_single_removal():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, neighbors={9}), now=600)
-    view.apply_hello(hello(2, neighbors={9}), now=600)
+    view.apply_hello(hello(1, neighbors={9}))
+    view.apply_hello(hello(2, neighbors={9}))
     windows = {1: strong_window(1), 2: strong_window(2)}
     view.maintain(600, threshold=TH, windows=windows)
     assert set(view.graph.vertices) == {0, 1, 2, 9}
@@ -146,7 +146,7 @@ def test_shared_two_hop_vertex_survives_single_removal():
 
 def test_two_hop_vertex_that_is_own_friend_survives():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, neighbors={2}), now=600)
+    view.apply_hello(hello(1, neighbors={2}))
     windows = {1: strong_window(1), 2: strong_window(2)}
     view.maintain(600, threshold=TH, windows=windows)
     assert sorted(view.graph.edges()) == [(0, 1), (0, 2), (1, 2)]
@@ -157,8 +157,8 @@ def test_two_hop_vertex_that_is_own_friend_survives():
 
 def test_maintain_is_idempotent():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, neighbors={2, 3}), now=600)
-    view.apply_hello(hello(4, neighbors={3}), now=600)
+    view.apply_hello(hello(1, neighbors={2, 3}))
+    view.apply_hello(hello(4, neighbors={3}))
     windows = {1: strong_window(1), 4: strong_window(4), 5: weak_window(5)}
     changed = view.maintain(600, threshold=TH, windows=windows)
     assert changed
@@ -170,7 +170,7 @@ def test_maintain_is_idempotent():
 
 def test_add_then_remove_restores_single_vertex_view():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(3, neighbors={8, 9}), now=600)
+    view.apply_hello(hello(3, neighbors={8, 9}))
     view.maintain(600, threshold=TH, windows={3: strong_window(3)})
     assert len(view.graph.vertices) == 4
     view.maintain(1600, threshold=TH, windows={3: weak_window(3)})
@@ -179,9 +179,9 @@ def test_add_then_remove_restores_single_vertex_view():
 
 def test_every_vertex_within_two_hops_after_maintain():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(1, neighbors={2, 3}), now=600)
-    view.apply_hello(hello(2, neighbors={4}), now=600)
-    view.apply_hello(hello(9, neighbors={1}), now=600)
+    view.apply_hello(hello(1, neighbors={2, 3}))
+    view.apply_hello(hello(2, neighbors={4}))
+    view.apply_hello(hello(9, neighbors={1}))
     windows = {1: strong_window(1), 2: strong_window(2), 9: weak_window(9)}
     view.maintain(600, threshold=TH, windows=windows)
     for v in view.graph.vertices:
@@ -205,7 +205,7 @@ def test_threshold_consistency_of_one_hop_set():
 
 def test_maintain_accepts_precomputed_weights():
     view = SocialNetworkView(0)
-    view.apply_hello(hello(5, neighbors={6}), now=7)
+    view.apply_hello(hello(5, neighbors={6}))
     view.maintain(7, threshold=TH, weights={5: 0.62})
     assert sorted(view.graph.edges()) == [(0, 5), (5, 6)]
     with pytest.raises(ValueError):
@@ -231,11 +231,13 @@ def test_my_centrality_star_owner():
 
 def test_make_hello_reports_friends_and_centrality():
     view = SocialNetworkView(0)
-    empty = view.make_hello(0)
+    empty = view.make_hello()
     assert empty.neighbor_list == frozenset()
     assert (empty.sender_cb, empty.sender_ceb) == (0, 0)
     view.maintain(0, threshold=TH, weights={1: 1.0, 2: 1.0, 3: 1.0})
-    payload = view.make_hello(5, link_weights={1: 1.0, 2: 1.0, 3: 1.0})
+    weights = {1: 1.0, 2: 1.0, 3: 1.0}
+    payload = view.make_hello(link_weights=weights)
+    weights[4] = 1.0  # the payload holds its own copy
     assert payload.sender == 0
     assert payload.neighbor_list == frozenset({1, 2, 3})
     assert (payload.sender_cb, payload.sender_ceb) == (3, 6)
@@ -256,7 +258,7 @@ def test_my_centrality_endpoint_value_matches_brandes():
     view = SocialNetworkView(0)
     advertised = {1: {4, 5}, 2: {5}, 3: set()}
     for peer, neighbors in advertised.items():
-        view.apply_hello(hello(peer, neighbors=neighbors), now=0)
+        view.apply_hello(hello(peer, neighbors=neighbors))
     for weights in ({1: 1.0}, {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0, 3: 1.0}, {2: 1.0, 3: 1.0}):
         view.maintain(0, threshold=TH, weights={1: 0.0, 2: 0.0, 3: 0.0, **weights})
         cb, ceb = view.my_centrality()
