@@ -29,8 +29,10 @@ started, so the layer, once off, stays off.
 
 Contact detection never looks at all n^2 pairs: a sort and sweep on x
 yields the candidate pairs whose x gap is within range (a conservative
-superset), and only those get the exact squared-distance test.  The tracker
-keeps state for open contacts only.
+superset), and only those get the exact squared-distance test.  It runs
+over a block of consecutive ticks of the trace at a time, in a fixed number
+of array operations per block; the encounter/departure state machine
+advances tick by tick and keeps state for open contacts only.
 
 Link weights live in one place, a cache with one slot per directed pair
 that has a contact window, evaluated for every slot in one vectorized pass
@@ -176,67 +178,93 @@ class ReplicateReport:
     efficiency_defined: bool
 
 
+#: node-samples of trace per contact-detection block: a block spans
+#: ``BLOCK_SAMPLES // node_count`` ticks (at least one)
+BLOCK_SAMPLES = 2**13
+
+
 class ContactTracker:
-    """Pairwise encounter/departure state machine over position snapshots.
+    """Pairwise encounter/departure state machine over a position trace.
 
     A pair enters contact at the first tick within range (the first hello)
     and leaves it after ``missed_hello_limit`` consecutive ticks out of
     range, with the departure stamped at the first missed tick.
 
-    Only open contacts are stored.  Candidate pairs come from a sort and
-    sweep on x, so a tick costs O(n log n + candidates) rather than n^2.
+    Only open contacts are stored.  The in-range pairs are found a block of
+    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`): one stable sort
+    of every tick's x coordinates, then a sweep over growing sorted-order
+    offsets that keeps the pairs whose x gap is within range (a conservative
+    superset), and the exact squared-distance test on those candidates only.
+    A block costs O(n log n + candidates) per tick rather than n^2, in a
+    fixed number of array operations per offset instead of per tick.
     """
 
     def __init__(
-        self, node_count: int, comm_range: float, missed_hello_limit: int, tick: float
+        self, positions: np.ndarray, comm_range: float, missed_hello_limit: int
     ) -> None:
-        self.n = node_count
+        """``positions[tick, node] -> (x, y)``, finite: the sweep orders nodes by x."""
+        self.positions = positions
         self.range_sq = comm_range * comm_range
         self.limit = missed_hello_limit
-        self.tick = tick
-        # Sweep reach on x.  A pair passing the exact test in _in_range has
+        # Sweep reach on x.  A pair passing the exact test in _detect has
         # fl(dx*dx) <= range_sq, so its true x gap is at most sqrt(range_sq)
         # times (1 + a few ulps), plus under 1e-161 where dx*dx underflows.
         # The padding covers both: the sweep may admit extra candidates but
         # never drops an in-range pair.
         self.reach = math.sqrt(self.range_sq) * (1.0 + 1e-9) + 1e-150
-        self._positions = np.arange(node_count)
-        self._after = self._positions + 1
+        #: ticks per detection block
+        self.block_ticks = max(1, BLOCK_SAMPLES // positions.shape[1])
+        #: in-range pairs of ticks block_start, block_start + 1, ...
+        self._block: list[list[tuple[NodeId, NodeId]]] = []
+        self._block_start = 0
         #: open contacts: (u, v) with u < v -> [consecutive misses, first miss]
         self.open: dict[tuple[NodeId, NodeId], list] = {}
 
-    def _in_range(self, coords: np.ndarray) -> list[tuple[NodeId, NodeId]]:
-        """Ascending ``(u, v)``, ``u < v``, within range at ``coords``.
+    def _detect(self, start: int) -> None:
+        """In-range pairs, ascending ``(u, v)`` with ``u < v``, of each tick
+        of the block starting at ``start``."""
+        block = self.positions[start : start + self.block_ticks]
+        ticks = len(block)
+        xs = block[:, :, 0]
+        order = np.argsort(xs, axis=1, kind="stable")
+        xs = np.take_along_axis(xs, order, axis=1)
+        reach = xs + self.reach
+        # Sorted position p pairs with q = p + k when xs[q] <= xs[p] + reach.
+        # Rows are sorted, so once no row has a candidate at offset k none
+        # has one at a larger offset.
+        none = np.empty(0, dtype=np.intp)
+        rows, firsts, seconds = [none], [none], [none]
+        for k in range(1, xs.shape[1]):
+            row, p = np.nonzero(xs[:, k:] <= reach[:, :-k])
+            if not len(row):
+                break
+            a, b = order[row, p], order[row, p + k]
+            # squares are exact under negation, so the orientation of d is moot
+            d = block[row, a] - block[row, b]
+            hit = (d * d).sum(axis=1) <= self.range_sq
+            rows.append(row[hit])
+            firsts.append(a[hit])
+            seconds.append(b[hit])
+        row = np.concatenate(rows)
+        a = np.concatenate(firsts)
+        b = np.concatenate(seconds)
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        ranked = np.lexsort((v, u, row))
+        pairs = list(zip(u[ranked].tolist(), v[ranked].tolist()))
+        ends = np.cumsum(np.bincount(row, minlength=ticks)).tolist()
+        self._block = [pairs[s:e] for s, e in zip([0] + ends, ends)]
+        self._block_start = start
 
-        ``coords`` must be finite: the sweep orders nodes by x.
-        """
-        order = np.argsort(coords[:, 0], kind="stable")
-        ordered = coords[order]
-        xs = ordered[:, 0]
-        # sorted position p pairs with every q in (p, stop[p])
-        stop = np.searchsorted(xs, xs + self.reach, side="right")
-        counts = stop - self._after
-        ends = np.cumsum(counts)
-        total = int(ends[-1])
-        if total == 0:
-            return []
-        p = np.repeat(self._positions, counts)
-        q = np.arange(total) + np.repeat(stop - ends, counts)
-        # squares are exact under negation, so the orientation of d is moot
-        d = ordered[p] - ordered[q]
-        hit = (d * d).sum(axis=1) <= self.range_sq
-        if not hit.any():
-            return []
-        a = order[p[hit]].tolist()
-        b = order[q[hit]].tolist()
-        return sorted((x, y) if x < y else (y, x) for x, y in zip(a, b))
-
-    def update(self, coords: np.ndarray, now: float):
-        """Returns (events, in-range pairs) for this tick.
+    def update(self, tick_index: int, now: float):
+        """Returns (events, in-range pairs) for tick ``tick_index`` at ``now``.
 
         Departures come first, then encounters, each in ascending pair order.
         """
-        pairs = self._in_range(coords)
+        offset = tick_index - self._block_start
+        if not 0 <= offset < len(self._block):
+            self._detect(tick_index)
+            offset = 0
+        pairs = self._block[offset]
         events: list[ContactEvent] = []
         current = set(pairs)
         departed = []
@@ -375,7 +403,6 @@ _SLOT_ARRAYS = {
     "_row": (np.intp, 0),
 }
 
-_NOTHING: frozenset[int] = frozenset()
 _NO_WEIGHTS: dict[NodeId, float] = {}
 
 
@@ -429,7 +456,7 @@ class Timeline:
             raise ValueError("trace holds no ticks")
         self.nodes = [_Node(i) for i in range(config.node_count)]
         self.tracker = ContactTracker(
-            config.node_count, config.comm_range, config.missed_hello_limit, config.tick
+            self.trace.positions, config.comm_range, config.missed_hello_limit
         )
 
         self._dirty = np.zeros(config.node_count, dtype=bool)
@@ -642,7 +669,7 @@ class Timeline:
             idx = self._next_tick
             now = idx * cfg.tick
             try:
-                events, pairs = self.tracker.update(self.trace.at(idx), now)
+                events, pairs = self.tracker.update(idx, now)
                 if cfg.validate:
                     self.contact_log.extend(events)
                 if self._social:
@@ -788,36 +815,46 @@ class Simulation:
             self._log(now, "GEN", m.id, m.src, m.dst)
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
-        cfg = self.cfg
-        epidemic = cfg.protocol is Protocol.EPIDEMIC
-        timeline, nodes, buffers = self.timeline, self.nodes, self.buffers
+        protocol, buffers = self.cfg.protocol, self.buffers
+        # routing never changes a node's weights or view, so one context per
+        # node serves all of this tick's pairs
+        contexts: dict[NodeId, RelayContext] = {}
         for u, v in pairs:
             for i, j in ((u, v), (v, u)):
                 buffer = buffers[i]
                 if not len(buffer):
                     continue
-                peer_has = buffers[j].ids() | self.delivered_to.get(j, _NOTHING)
-                if buffer.ids() <= peer_has:
-                    continue  # decide skips every message the peer holds
-                if epidemic:
-                    # epidemic reads no weight or view
-                    ctx = RelayContext(node=i, buffer=buffer, own_weights=_NO_WEIGHTS)
-                else:
-                    view = nodes[i].view
-                    cb, ceb = view.my_centrality()
-                    ctx = RelayContext(
-                        node=i,
-                        buffer=buffer,
-                        own_weights=timeline.link_weights(i, now),
-                        own_cb=cb,
-                        own_ceb=ceb,
-                        members=view.graph.vertices,
-                        peer_weights=view.peer_weights,
-                        peer_centrality=view.peer_centrality,
-                        threshold=cfg.threshold,
-                    )
-                actions = decide(cfg.protocol, ctx, j, peer_has, now)
+                missing = buffer.ids() - buffers[j].ids()
+                delivered = self.delivered_to.get(j)
+                if delivered:
+                    missing -= delivered
+                if not missing:
+                    continue
+                ctx = contexts.get(i)
+                if ctx is None:
+                    ctx = contexts[i] = self._context(i, now)
+                actions = decide(protocol, ctx, j, missing, now)
                 self._apply_actions(i, j, actions, now)
+
+    def _context(self, i: NodeId, now: float) -> RelayContext:
+        """Node ``i``'s state as :func:`decide` reads it at ``now``."""
+        buffer = self.buffers[i]
+        if self.cfg.protocol is Protocol.EPIDEMIC:
+            # epidemic reads no weight or view
+            return RelayContext(node=i, buffer=buffer, own_weights=_NO_WEIGHTS)
+        view = self.nodes[i].view
+        cb, ceb = view.my_centrality()
+        return RelayContext(
+            node=i,
+            buffer=buffer,
+            own_weights=self.timeline.link_weights(i, now),
+            own_cb=cb,
+            own_ceb=ceb,
+            members=view.graph.vertices,
+            peer_weights=view.peer_weights,
+            peer_centrality=view.peer_centrality,
+            threshold=self.cfg.threshold,
+        )
 
     def _apply_actions(
         self, i: NodeId, j: NodeId, actions: list[ForwardAction], now: float

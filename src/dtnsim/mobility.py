@@ -69,9 +69,6 @@ class Trace:
     def tick_count(self) -> int:
         return self.positions.shape[0]
 
-    def at(self, tick_index: int) -> np.ndarray:
-        return self.positions[tick_index]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented

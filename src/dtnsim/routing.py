@@ -31,7 +31,7 @@ that cache, so routing does not see the hello format.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterator, KeysView, Mapping
 
@@ -130,7 +130,7 @@ class Buffer:
         if receiver == m.dst:
             return True
         if m.id not in self._messages:
-            self._messages[m.id] = replace(m, hops=m.hops + 1)
+            self._messages[m.id] = Message(m.id, m.src, m.dst, m.created_at, m.ttl, m.hops + 1)
         return False
 
     def remove(self, message_id: int) -> Message | None:
@@ -212,13 +212,15 @@ def decide(
     protocol: Protocol,
     ctx: RelayContext,
     peer: NodeId,
-    peer_has: Collection[int],
+    missing: Collection[int],
     now: float,
 ) -> list[ForwardAction]:
     """Forwarding actions for one contact, in ascending message-id order.
 
-    Considers every live buffered message the peer does not already hold.
-    Direct delivery always wins; otherwise the protocol's conditions apply.
+    ``missing`` holds the ids of ``ctx.buffer``'s messages that the peer
+    lacks (neither buffers nor has been delivered); each live one is
+    considered.  Direct delivery always wins; otherwise the protocol's
+    conditions apply.
     The peer's advertised weights and centralities come from ``ctx``'s
     caches.  The conditions depend on the destination only, so each
     destination's verdict is reached once per call and shared by its
@@ -237,7 +239,7 @@ def decide(
     buffer = ctx.buffer
     verdicts: dict[NodeId, Action | None] = {}
     actions: list[ForwardAction] = []
-    for mid in sorted(buffer.ids() - peer_has):
+    for mid in sorted(missing):
         m = buffer.get(mid)
         dest = m.dst
         if dest in verdicts:

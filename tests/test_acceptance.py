@@ -215,7 +215,7 @@ def test_criterion_5_forwarding_rule_conformance():
             peer_centrality={peer: PeerRecord(peer_cb, peer_ceb)},
             threshold=0.01,
         )
-        got = decide(protocol, ctx, peer, peer_has, now)
+        got = decide(protocol, ctx, peer, buf.ids() - peer_has, now)
         want = [] if expect is None else [ForwardAction(0, expect)]
         return got == want
 

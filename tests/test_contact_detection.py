@@ -3,14 +3,15 @@
 ``DenseTracker`` is the original n x n algorithm: every pair's squared
 distance every tick, with the encounter/departure state held in n x n
 arrays.  Both trackers are driven through the same coordinate sequences and
-must report identical events and in-range pairs on every tick.
+must report identical events and in-range pairs on every tick, whatever
+the number of ticks the sweep-based tracker detects per block.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtnsim.engine import ContactEvent, ContactEventKind, ContactTracker
+from dtnsim.engine import BLOCK_SAMPLES, ContactEvent, ContactEventKind, ContactTracker
 
 
 class DenseTracker:
@@ -97,15 +98,98 @@ def scenario(draw):
     return r, limit, [np.array(pool[i]) for i in order]
 
 
+def replay(frames, r, limit, block_ticks=None):
+    """``(events, pairs)`` of every tick of ``frames``, detected
+    ``block_ticks`` ticks at a time (default: the tracker's own)."""
+    tracker = ContactTracker(np.array(frames), r, limit)
+    if block_ticks is not None:
+        tracker.block_ticks = block_ticks
+    return [tracker.update(idx, float(idx)) for idx in range(len(frames))]
+
+
+def dense_replay(frames, r, limit):
+    dense = DenseTracker(len(frames[0]), r, limit)
+    return [dense.update(np.array(coords), float(idx)) for idx, coords in enumerate(frames)]
+
+
 @given(scenario())
 def test_sweep_tracker_matches_dense_reference(case):
     r, limit, frames = case
     n = len(frames[0])
-    sparse = ContactTracker(n, r, limit, 1.0)
+    sparse = ContactTracker(np.array(frames), r, limit)
     dense = DenseTracker(n, r, limit)
     for idx, coords in enumerate(frames):
         now = float(idx)
-        assert sparse.update(coords, now) == dense.update(coords, now), f"tick {idx}"
+        assert sparse.update(idx, now) == dense.update(coords, now), f"tick {idx}"
+
+
+def apart(n, r, shift):
+    """n points on one x, 3r apart in y: no pair in range, every x tied."""
+    return [(shift, 3.0 * k * r) for k in range(n)]
+
+
+@st.composite
+def block_scenario(draw):
+    r = draw(st.sampled_from(RANGES))
+    shift = draw(st.sampled_from(SHIFTS))
+    n = draw(st.integers(2, 9))
+    limit = draw(st.integers(1, 4))
+    pool = draw(st.lists(frame(n, r, shift), min_size=1, max_size=4))
+    pool.append(apart(n, r, shift))
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=30))
+    block = draw(st.integers(2, len(order)))
+    return r, limit, [np.array(pool[i]) for i in order], block
+
+
+@given(block_scenario())
+def test_every_block_length_matches_dense_reference(case):
+    r, limit, frames, block = case
+    expected = dense_replay(frames, r, limit)
+    for ticks in (1, block, None):
+        got = replay(frames, r, limit, ticks)
+        for idx, (mine, theirs) in enumerate(zip(got, expected)):
+            assert mine == theirs, f"tick {idx}, {ticks} ticks per block"
+
+
+def test_block_boundaries_inside_contacts_and_miss_streaks():
+    # two nodes on one x: in range exactly at r, out of range an ulp beyond
+    for r in RANGES:
+        for shift in SHIFTS:
+            near = [(shift, 0.0), (shift, r)]
+            far = [(shift, 0.0), (shift, nudge(r, 1))]
+            frames = [near, near, far, far, near, far, far, far, far, near, near]
+            expected = dense_replay(frames, r, 3)
+            kinds = [e.kind for events, _ in expected for e in events]
+            assert kinds == [
+                ContactEventKind.ENCOUNTER,
+                ContactEventKind.DEPART,
+                ContactEventKind.ENCOUNTER,
+            ]
+            assert [pairs for _, pairs in expected].count([]) == 6
+            # lengths 1 to 12 put block boundaries inside the contacts and
+            # inside both miss streaks
+            for ticks in range(1, len(frames) + 2):
+                assert replay(frames, r, 3, ticks) == expected, (r, shift, ticks)
+
+
+def test_block_length_follows_node_samples():
+    for n, ticks in [(2, BLOCK_SAMPLES // 2), (200, BLOCK_SAMPLES // 200), (BLOCK_SAMPLES + 1, 1)]:
+        tracker = ContactTracker(np.zeros((3, n, 2)), 3.0, 3)
+        assert tracker.block_ticks == ticks
+    # a block never runs past the trace's end
+    frames = [[(0.0, 0.0), (1.0, 0.0)]] * 3
+    assert replay(frames, 3.0, 3) == dense_replay(frames, 3.0, 3)
+
+
+def test_each_block_is_detected_once():
+    tracker = ContactTracker(np.zeros((10, 2, 2)), 3.0, 3)
+    tracker.block_ticks = 4
+    starts = []
+    detect = tracker._detect
+    tracker._detect = lambda start: (starts.append(start), detect(start))
+    for idx in range(10):
+        tracker.update(idx, float(idx))
+    assert starts == [0, 4, 8]
 
 
 def test_exact_range_and_ulp_beyond_on_a_large_offset():
@@ -114,9 +198,9 @@ def test_exact_range_and_ulp_beyond_on_a_large_offset():
     coords = np.array(
         [[x0, 0.0], [x0 + r, 0.0], [nudge(x0 + 2 * r, 1), 0.0], [x0 + 0.6 * r, 0.8 * r]]
     )
-    sparse = ContactTracker(4, r, 3, 1.0)
+    sparse = ContactTracker(coords[None], r, 3)
     dense = DenseTracker(4, r, 3)
-    got = sparse.update(coords, 0.0)
+    got = sparse.update(0, 0.0)
     assert got == dense.update(coords, 0.0)
     assert (0, 1) in got[1]
 
@@ -130,6 +214,6 @@ def test_pairs_whose_x_gap_exceeds_the_rounded_range_are_kept():
     ]:
         coords = np.array([[x0, 0.0], [x1, 0.0]])
         assert x1 > x0 + np.sqrt(r * r)
-        events, pairs = ContactTracker(2, r, 3, 1.0).update(coords, 0.0)
+        events, pairs = ContactTracker(coords[None], r, 3).update(0, 0.0)
         assert pairs == [(0, 1)]
         assert (events, pairs) == DenseTracker(2, r, 3).update(coords, 0.0)

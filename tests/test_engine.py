@@ -108,39 +108,44 @@ def test_simulation_rejects_non_finite_trace(value):
 # -- contact tracking ----------------------------------------------------------------
 
 
+def tracker_over(frames, comm_range=3.0, missed_hello_limit=3):
+    """A tracker replaying ``frames``, one (x, y) row per node each tick."""
+    return ContactTracker(np.array(frames, dtype=float), comm_range, missed_hello_limit)
+
+
 def test_encounter_at_boundary_distance():
-    tracker = ContactTracker(2, comm_range=3.0, missed_hello_limit=3, tick=1.0)
-    events, pairs = tracker.update(np.array([[0.0, 0.0], [2.9, 0.0]]), 0.0)
+    tracker = tracker_over([[[0.0, 0.0], [2.9, 0.0]]], comm_range=3.0, missed_hello_limit=3)
+    events, pairs = tracker.update(0, 0.0)
     assert [e.kind for e in events] == [ContactEventKind.ENCOUNTER]
     assert events[0].pair == (0, 1) and events[0].time == 0.0
     assert (0, 1) in pairs
     # exactly at range: still within (boundary inclusive)
-    tracker2 = ContactTracker(2, 3.0, 3, 1.0)
-    events, _ = tracker2.update(np.array([[0.0, 0.0], [3.0, 0.0]]), 0.0)
+    tracker2 = tracker_over([[[0.0, 0.0], [3.0, 0.0]]])
+    events, _ = tracker2.update(0, 0.0)
     assert len(events) == 1
 
 
 def test_departure_stamped_at_first_missed_tick():
-    tracker = ContactTracker(2, 3.0, 3, 1.0)
-    tracker.update(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0)
-    apart = np.array([[0.0, 0.0], [3.5, 0.0]])
-    assert tracker.update(apart, 1.0)[0] == []
-    assert tracker.update(apart, 2.0)[0] == []
-    events, _ = tracker.update(apart, 3.0)
+    apart = [[0.0, 0.0], [3.5, 0.0]]
+    tracker = tracker_over([[[0.0, 0.0], [1.0, 0.0]], apart, apart, apart])
+    tracker.update(0, 0.0)
+    assert tracker.update(1, 1.0)[0] == []
+    assert tracker.update(2, 2.0)[0] == []
+    events, _ = tracker.update(3, 3.0)
     assert [e.kind for e in events] == [ContactEventKind.DEPART]
     assert events[0].time == 1.0
 
 
 def test_miss_counter_resets_on_reentry():
-    tracker = ContactTracker(2, 3.0, 3, 1.0)
-    near = np.array([[0.0, 0.0], [2.0, 0.0]])
-    far = np.array([[0.0, 0.0], [3.5, 0.0]])
-    tracker.update(near, 0.0)
-    assert tracker.update(far, 1.0)[0] == []
-    assert tracker.update(near, 2.0)[0] == []  # back in range, counter resets
-    assert tracker.update(far, 3.0)[0] == []
-    assert tracker.update(far, 4.0)[0] == []
-    events, _ = tracker.update(far, 5.0)
+    near = [[0.0, 0.0], [2.0, 0.0]]
+    far = [[0.0, 0.0], [3.5, 0.0]]
+    tracker = tracker_over([near, far, near, far, far, far])
+    tracker.update(0, 0.0)
+    assert tracker.update(1, 1.0)[0] == []
+    assert tracker.update(2, 2.0)[0] == []  # back in range, counter resets
+    assert tracker.update(3, 3.0)[0] == []
+    assert tracker.update(4, 4.0)[0] == []
+    events, _ = tracker.update(5, 5.0)
     assert [e.kind for e in events] == [ContactEventKind.DEPART]
     assert events[0].time == 3.0
 

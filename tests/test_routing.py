@@ -99,7 +99,7 @@ def actions_of(protocol, context, peer, advert=None, peer_has=frozenset(), now=1
             peer_weights={**context.peer_weights, sender: weights},
             peer_centrality={**context.peer_centrality, sender: record},
         )
-    return decide(protocol, context, peer, peer_has, now)
+    return decide(protocol, context, peer, context.buffer.ids() - peer_has, now)
 
 
 def test_sentinel_weight_orders_above_everything():
