@@ -25,14 +25,13 @@ from dtnsim.mobility import (
     load_trace,
     save_trace,
 )
-from dtnsim.routing import Buffer, Message, Protocol
+from dtnsim.routing import Message, Protocol
 from dtnsim.social import HelloPayload, SocialNetworkView
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arena",
-    "Buffer",
     "ContactWindow",
     "HelloPayload",
     "MAX_WEIGHT",

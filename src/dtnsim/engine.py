@@ -4,8 +4,8 @@ A run has two parts.  A :class:`Timeline` holds what depends on neither the
 routing protocol nor the TTL: the trace, contact detection, the contact
 windows, the link-weight cache, and the per-node social views with the
 hello/maintain pass.  A :class:`Simulation` holds one configuration's
-routing state: buffers, message holders, deliveries, injection, expiry,
-metrics and the event log.  Routing never feeds back into the timeline, so
+routing state: message masks (see below), injection, expiry, metrics and
+the event log.  Routing never feeds back into the timeline, so
 the sweep cells that differ only in ``protocol`` and ``ttl`` share one
 timeline and run in lockstep: each tick the timeline advances once, then
 steps every attached simulation that has not finished.  No per-tick state
@@ -33,6 +33,13 @@ superset), and only those get the exact squared-distance test.  It runs
 over a block of consecutive ticks of the trace at a time, in a fixed number
 of array operations per block; the encounter/departure state machine
 advances tick by tick and keeps state for open contacts only.
+
+Routing state is Python-int bitmasks, bit ``r`` standing for the r-th
+message in ascending id order: per node the messages it buffers (``held``)
+and those delivered to it (``got``), per destination those addressed to it
+(``toward``, built once per drawn workload), and per message the nodes
+holding it (the transpose of ``held``).  A contact of ``i`` with ``j`` may
+move ``held[i] & ~(held[j] | got[j])``.
 
 Link weights live in one place, a cache with one slot per directed pair
 that has a contact window, evaluated for every slot in one vectorized pass
@@ -67,11 +74,11 @@ from dtnsim.mobility import (
 )
 from dtnsim.routing import (
     Action,
-    Buffer,
     ForwardAction,
     Message,
     Protocol,
     RelayContext,
+    bits,
     decide,
 )
 from dtnsim.social import HelloPayload, SocialNetworkView
@@ -369,26 +376,36 @@ def _check_messages(messages: Sequence[Message], node_count: int) -> None:
 
 @dataclass(frozen=True)
 class _Schedule:
-    """A message workload in injection order and in expiry order.
-
-    ``index`` maps a message id to its position in ``messages``.
-    """
+    """A message workload in injection order, in expiry order and by rank
+    (ascending id); ``rank`` maps an id to its rank and ``toward[d]`` masks
+    the ranks of the messages addressed to node ``d``."""
 
     messages: list[Message]
     expiries: list[Message]
-    index: dict[int, int]
+    ranked: list[Message]
+    rank: dict[int, int]
+    toward: list[int]
 
     @classmethod
     def of(
-        cls, messages: Sequence[Message], tick: float, index: dict[int, int] | None = None
+        cls,
+        messages: Sequence[Message],
+        tick: float,
+        node_count: int,
+        like: "_Schedule | None" = None,
     ) -> "_Schedule":
-        """``index`` may be passed in when known to match ``messages``."""
+        """``like``, the same draw at another TTL, lends ``rank`` and ``toward``."""
         ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
-        return cls(
-            ordered,
-            sorted(ordered, key=lambda m: (m.created_at + m.ttl + tick, m.id)),
-            index if index is not None else {m.id: k for k, m in enumerate(ordered)},
-        )
+        ranked = sorted(ordered, key=lambda m: m.id)
+        if like is None:
+            rank = {m.id: r for r, m in enumerate(ranked)}
+            toward = [0] * node_count
+            for r, m in enumerate(ranked):
+                toward[m.dst] |= 1 << r
+        else:
+            rank, toward = like.rank, like.toward
+        expiries = sorted(ordered, key=lambda m: (m.created_at + m.ttl + tick, m.id))
+        return cls(ordered, expiries, ranked, rank, toward)
 
 
 #: weight-cache slot arrays: attribute -> (dtype, fill for unused capacity)
@@ -501,13 +518,14 @@ class Timeline:
         """The seeded workload at ``config.ttl``, drawn once per timeline."""
         schedule = self._schedules.get(config.ttl)
         if schedule is None:
+            like = None
             if self._schedules:
-                # the same draw at another TTL: same ids in the same order
-                drawn = next(iter(self._schedules.values()))
-                messages = [replace(m, ttl=config.ttl) for m in drawn.messages]
-                schedule = _Schedule.of(messages, config.tick, drawn.index)
+                # the same draw at another TTL: same ids, endpoints and order
+                like = next(iter(self._schedules.values()))
+                messages = [replace(m, ttl=config.ttl) for m in like.messages]
             else:
-                schedule = _Schedule.of(schedule_messages(config), config.tick)
+                messages = schedule_messages(config)
+            schedule = _Schedule.of(messages, config.tick, config.node_count, like)
             self._schedules[config.ttl] = schedule
         return schedule
 
@@ -712,6 +730,8 @@ def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
 class Simulation:
     """One seeded run.  Build it, call :meth:`run` once.
 
+    ``held[i]`` and ``got[i]`` mask the messages node ``i`` buffers and has
+    had delivered (see the module docstring).
     Without ``timeline`` the simulation gets a timeline of its own; with one
     (see :func:`shared_timeline`) it joins that timeline's lockstep pass, and
     ``trace`` must be left out.  ``nodes`` (views and contact windows) belong
@@ -743,23 +763,21 @@ class Simulation:
         schedule = (
             timeline._schedule(config)
             if messages is None
-            else _Schedule.of(messages, config.tick)
+            else _Schedule.of(messages, config.tick, config.node_count)
         )
         self.timeline = timeline
         self.trace = timeline.trace
         self.nodes = timeline.nodes
         self.messages = schedule.messages
-        self._expiries = schedule.expiries
-        self._index = schedule.index
+        self._schedule = schedule
 
         n = config.node_count
-        self.buffers = [Buffer() for _ in range(n)]
+        # Masks, not sets: a sweep keeps every cell's simulation alive at
+        # once, and a set (or a dict entry) per message would dominate its
+        # memory.  _holders is held's transpose, per message rank.
+        self.held = [0] * n
+        self.got = [0] * n
         self.delivered: set[int] = set()
-        #: destination -> ids delivered to it; nodes without one are absent
-        self.delivered_to: dict[NodeId, set[int]] = {}
-        # bit mask of the nodes buffering a copy, per position in
-        # self.messages.  A sweep keeps every cell's simulation alive at once,
-        # and a set (or a dict entry) per message would dominate its memory.
         self._holders = [0] * len(self.messages)
         self.total_forwards = 0
         self._unresolved = len(self.messages)
@@ -785,10 +803,9 @@ class Simulation:
     @property
     def holders(self) -> dict[int, set[NodeId]]:
         """Message id -> nodes buffering a copy, for every message injected."""
-        n = self.cfg.node_count
         return {
-            m.id: {i for i in range(n) if mask >> i & 1}
-            for m, mask in zip(self.messages[: self._next_inject], self._holders)
+            m.id: set(bits(self._holders[self._schedule.rank[m.id]]))
+            for m in self.messages[: self._next_inject]
         }
 
     @property
@@ -809,25 +826,23 @@ class Simulation:
         messages = self.messages
         while self._next_inject < len(messages) and messages[self._next_inject].created_at <= now:
             m = messages[self._next_inject]
-            self._holders[self._next_inject] = 1 << m.src
+            rank = self._schedule.rank[m.id]
+            self._holders[rank] = 1 << m.src
+            self.held[m.src] |= 1 << rank
             self._next_inject += 1
-            self.buffers[m.src].insert(m)
             self._log(now, "GEN", m.id, m.src, m.dst)
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
-        protocol, buffers = self.cfg.protocol, self.buffers
+        protocol, held, got = self.cfg.protocol, self.held, self.got
         # routing never changes a node's weights or view, so one context per
         # node serves all of this tick's pairs
         contexts: dict[NodeId, RelayContext] = {}
         for u, v in pairs:
             for i, j in ((u, v), (v, u)):
-                buffer = buffers[i]
-                if not len(buffer):
+                mine = held[i]
+                if not mine:
                     continue
-                missing = buffer.ids() - buffers[j].ids()
-                delivered = self.delivered_to.get(j)
-                if delivered:
-                    missing -= delivered
+                missing = mine & ~(held[j] | got[j])
                 if not missing:
                     continue
                 ctx = contexts.get(i)
@@ -838,15 +853,16 @@ class Simulation:
 
     def _context(self, i: NodeId, now: float) -> RelayContext:
         """Node ``i``'s state as :func:`decide` reads it at ``now``."""
-        buffer = self.buffers[i]
+        ranked, toward = self._schedule.ranked, self._schedule.toward
         if self.cfg.protocol is Protocol.EPIDEMIC:
             # epidemic reads no weight or view
-            return RelayContext(node=i, buffer=buffer, own_weights=_NO_WEIGHTS)
+            return RelayContext(i, ranked, toward, _NO_WEIGHTS)
         view = self.nodes[i].view
         cb, ceb = view.my_centrality()
         return RelayContext(
             node=i,
-            buffer=buffer,
+            messages=ranked,
+            toward=toward,
             own_weights=self.timeline.link_weights(i, now),
             own_cb=cb,
             own_ceb=ceb,
@@ -859,40 +875,40 @@ class Simulation:
     def _apply_actions(
         self, i: NodeId, j: NodeId, actions: list[ForwardAction], now: float
     ) -> None:
+        held, rank = self.held, self._schedule.rank
         for act in actions:
-            m = self.buffers[i].get(act.message_id)
+            mid = act.message_id
+            r = rank[mid]
             self.total_forwards += 1
             if act.action is Action.DELIVER:
-                self._log(now, "DLV", m.id, i, j)
-                self.delivered_to.setdefault(j, set()).add(m.id)
-                if m.id not in self.delivered:
-                    # resolved: a delivered message is never counted at expiry
-                    self.delivered.add(m.id)
-                    self._unresolved -= 1
+                self._log(now, "DLV", mid, i, j)
+                # once only: no later contact's missing mask has it (got)
+                self.got[j] |= 1 << r
+                self.delivered.add(mid)
+                # resolved: a delivered message is never counted at expiry
+                self._unresolved -= 1
             else:
-                self._log(now, "FWD", m.id, i, j)
-                self.buffers[j].accept(m, j)
-                k = self._index[m.id]
-                self._holders[k] |= 1 << j
+                # never the destination: decide delivers to it instead
+                self._log(now, "FWD", mid, i, j)
+                held[j] |= 1 << r
+                self._holders[r] |= 1 << j
                 if act.action is Action.FORWARD_AND_DELETE:
-                    self.buffers[i].remove(m.id)
-                    self._holders[k] &= ~(1 << i)
+                    held[i] &= ~(1 << r)
+                    self._holders[r] &= ~(1 << i)
 
     def _expire(self, now: float) -> None:
-        expiries, tick = self._expiries, self.cfg.tick
+        expiries, tick = self._schedule.expiries, self.cfg.tick
         while self._next_expiry < len(expiries):
             m = expiries[self._next_expiry]
             if m.created_at + m.ttl + tick > now:
                 break
             self._next_expiry += 1
-            mid, k = m.id, self._index[m.id]
-            mask = self._holders[k]
-            while mask:  # ascending node id
-                holder = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                self.buffers[holder].remove(mid)
+            mid, r = m.id, self._schedule.rank[m.id]
+            keep = ~(1 << r)
+            for holder in bits(self._holders[r]):  # ascending node id
+                self.held[holder] &= keep
                 self._log(now, "EXP", mid, holder, -1)
-            self._holders[k] = 0
+            self._holders[r] = 0
             # resolved: no copy is left, so it can never be delivered now
             if mid not in self.delivered:
                 self._unresolved -= 1

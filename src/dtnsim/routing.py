@@ -1,4 +1,4 @@
-"""Forwarding decisions for the four protocols, plus buffer bookkeeping.
+"""Forwarding decisions for the four protocols.
 
 Protocols:
 
@@ -19,9 +19,10 @@ Every input of a forwarding choice (the two link weights toward the
 destination, the peer's standing against our social network, the centrality
 comparison) depends on the destination alone, so :func:`decide` reaches one
 verdict per destination per contact and applies it to each live message
-toward it that the peer lacks.  Link weights are never negative; a
-destination the peer does not advertise (weight 0) therefore never wins on
-weight.
+toward it that the peer lacks (a bitmask, see :class:`RelayContext`).  Link
+weights are never negative; a destination the peer does not advertise
+(weight 0) therefore never wins on weight, so unless the centrality fallback
+fires only the peer and the destinations it advertises can get a verdict.
 
 What a node knows of its peer (advertised weights and centralities) is what
 its social view cached from the peer's hellos; :class:`RelayContext` carries
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterator, KeysView, Mapping
+from typing import Collection, Mapping, Sequence
 
 from dtnsim.graph import NodeId
 from dtnsim.social import PeerRecord
@@ -75,7 +76,6 @@ class Message:
     dst: NodeId
     created_at: float
     ttl: float
-    hops: int = 0
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
@@ -87,60 +87,23 @@ class Message:
         return now - self.created_at <= self.ttl
 
 
-class Buffer:
-    """One node's message store; at most one copy per message id."""
-
-    __slots__ = ("_messages",)
-
-    def __init__(self) -> None:
-        self._messages: dict[int, Message] = {}
-
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __contains__(self, message_id: int) -> bool:
-        return message_id in self._messages
-
-    def __iter__(self) -> Iterator[Message]:
-        """Messages in ascending id order (deterministic)."""
-        messages = self._messages
-        return iter([messages[mid] for mid in sorted(messages)])
-
-    def ids(self) -> KeysView[int]:
-        """Buffered message ids, as a live set-like view."""
-        return self._messages.keys()
-
-    def get(self, message_id: int) -> Message:
-        return self._messages[message_id]
-
-    def insert(self, m: Message) -> bool:
-        """Store a copy as-is (no hop increment); used at message creation."""
-        if m.id in self._messages:
-            return False
-        self._messages[m.id] = m
-        return True
-
-    def accept(self, m: Message, receiver: NodeId) -> bool:
-        """Take delivery of a transferred copy.
-
-        Returns True when ``receiver`` is the destination (the message is
-        consumed, not buffered).  Relays store the copy with an incremented
-        hop count; re-received ids are ignored.
-        """
-        if receiver == m.dst:
-            return True
-        if m.id not in self._messages:
-            self._messages[m.id] = Message(m.id, m.src, m.dst, m.created_at, m.ttl, m.hops + 1)
-        return False
-
-    def remove(self, message_id: int) -> Message | None:
-        return self._messages.pop(message_id, None)
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask`` (non-negative), ascending."""
+    ranks = []
+    while mask:
+        low = mask & -mask
+        ranks.append(low.bit_length() - 1)
+        mask ^= low
+    return ranks
 
 
 @dataclass
 class RelayContext:
     """The slice of a node's state the forwarding decision needs.
 
+    Messages are named by rank: bit ``r`` of a mask stands for
+    ``messages[r]``, the r-th message of the workload in ascending id order,
+    and ``toward[d]`` has the bits of the messages addressed to ``d``.
     ``peer_weights`` and ``peer_centrality`` are the node's caches of what
     its peers last advertised; :func:`decide` reads the contacted peer's
     entries there (absent: no weights, centralities 0).  Every weight here
@@ -150,7 +113,10 @@ class RelayContext:
     """
 
     node: NodeId
-    buffer: Buffer
+    #: the workload's messages in ascending id order (the rank table)
+    messages: Sequence[Message]
+    #: destination -> mask of the messages addressed to it
+    toward: Sequence[int]
     #: this node's own current link weights (absent peer reads as 0)
     own_weights: Mapping[NodeId, float]
     own_cb: Fraction | float = 0
@@ -212,20 +178,22 @@ def decide(
     protocol: Protocol,
     ctx: RelayContext,
     peer: NodeId,
-    missing: Collection[int],
+    missing: int,
     now: float,
 ) -> list[ForwardAction]:
     """Forwarding actions for one contact, in ascending message-id order.
 
-    ``missing`` holds the ids of ``ctx.buffer``'s messages that the peer
-    lacks (neither buffers nor has been delivered); each live one is
-    considered.  Direct delivery always wins; otherwise the protocol's
-    conditions apply.
+    ``missing`` is the mask (see :class:`RelayContext`) of the node's
+    buffered messages that the peer lacks (neither buffers nor has been
+    delivered); each live one is considered.  Direct delivery always wins;
+    otherwise the protocol's conditions apply.
     The peer's advertised weights and centralities come from ``ctx``'s
     caches.  The conditions depend on the destination only, so each
     destination's verdict is reached once per call and shared by its
-    messages; the weight conditions assume non-negative weights (see
-    :class:`RelayContext`).
+    messages.  Unless every message moves (epidemic, or the proposed
+    schemes' centrality fallback), only the peer itself and the
+    destinations it advertises can get a verdict (weights are non-negative,
+    see :class:`RelayContext`), so only their messages are visited.
     """
     # the proposed schemes' fallback: is the peer more central than us?
     # Neither side depends on the message.
@@ -236,18 +204,30 @@ def decide(
     elif protocol is Protocol.PROPOSED_II:
         more_central = (record.ceb if record else 0) > ctx.own_ceb
     peer_weights = ctx.peer_weights.get(peer, {})
-    buffer = ctx.buffer
     verdicts: dict[NodeId, Action | None] = {}
+    if protocol is Protocol.EPIDEMIC or more_central:
+        # every destination gets a verdict other than None
+        moving = missing
+    else:
+        moving = 0
+        toward = ctx.toward
+        for dest in (peer, *peer_weights):
+            selected = missing & toward[dest]
+            if selected:
+                verdict = _verdict(protocol, ctx, peer, peer_weights, dest, more_central)
+                if verdict is not None:
+                    verdicts[dest] = verdict
+                    moving |= selected
+    messages = ctx.messages
     actions: list[ForwardAction] = []
-    for mid in sorted(missing):
-        m = buffer.get(mid)
-        dest = m.dst
-        if dest in verdicts:
-            verdict = verdicts[dest]
-        else:
-            verdict = verdicts[dest] = _verdict(
-                protocol, ctx, peer, peer_weights, dest, more_central
+    for rank in bits(moving):
+        m = messages[rank]
+        if not m.is_live(now):
+            continue
+        verdict = verdicts.get(m.dst)
+        if verdict is None:
+            verdict = verdicts[m.dst] = _verdict(
+                protocol, ctx, peer, peer_weights, m.dst, more_central
             )
-        if verdict is not None and m.is_live(now):
-            actions.append(ForwardAction(mid, verdict))
+        actions.append(ForwardAction(m.id, verdict))
     return actions

@@ -136,26 +136,31 @@ class SocialNetworkView:
             if windows is None:
                 raise ValueError("maintain needs either windows or weights")
             weights = {j: w.link_weight(now) for j, w in windows.items()}
-        before = self.graph.copy()
+        # Edit the adjacency in place, toggling each edge actually added or
+        # dropped in ``flips`` (one toggled twice is back as it was).  A lost
+        # vertex changes the graph beyond its edges only if it began isolated.
+        adj, owner = self.graph._adj, self.owner
+        flips: set[tuple[NodeId, NodeId]] = set()
+        isolated = [v for v, nbrs in adj.items() if not nbrs and v != owner]
         for j in sorted(weights):
-            if j == self.owner:
+            if j == owner:
                 continue
             if weights[j] > threshold:
-                self.graph.add_edge(self.owner, j)
-                for k in self._advertised.get(j, ()):
-                    if k != j:
-                        self.graph.add_edge(j, k)
-            elif j in self.graph.vertices:
-                advertised = self._advertised.pop(j, frozenset())
-                self.graph.remove_edge(self.owner, j)
-                for k in advertised:
-                    self.graph.remove_edge(j, k)
-                self.graph.remove_vertex(j)
-        # prune vertices no surviving friend vouches for
-        for v in [v for v in self.graph.vertices if v != self.owner]:
-            if self.graph.degree(v) == 0:
-                self.graph.remove_vertex(v)
-        changed = self.graph != before
+                advertised = self._advertised.get(j, ())
+                for u, v in ((owner, j), *((j, k) for k in advertised if k != j)):
+                    if v not in adj[u]:  # u is the owner or a friend: present
+                        adj[u].add(v)
+                        adj.setdefault(v, set()).add(u)
+                        flips ^= {(u, v) if u < v else (v, u)}
+            elif j in adj:
+                # evicted with all its edges, so also those only it vouched for
+                self._advertised.pop(j, None)
+                for k in adj.pop(j):
+                    adj[k].discard(j)
+                    flips ^= {(j, k) if j < k else (k, j)}
+        for v in [v for v, nbrs in adj.items() if not nbrs and v != owner]:
+            del adj[v]  # no surviving friend vouches for it
+        changed = bool(flips) or any(v not in adj for v in isolated)
         if changed:
             self.revision += 1
         return changed

@@ -23,7 +23,6 @@ from dtnsim.graph import (
 )
 from dtnsim.routing import (
     Action,
-    Buffer,
     ForwardAction,
     Message,
     Protocol,
@@ -33,6 +32,7 @@ from dtnsim.routing import (
 from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
 from test_contacts import build_window, quadrature_weight
+from test_routing import rank_masks
 
 
 def report(number, name, ok):
@@ -198,11 +198,13 @@ def test_criterion_5_forwarding_rule_conformance():
     def case(protocol, *, own_w=0.0, peer_w=None, own_cb=0, own_ceb=0, peer_cb=0,
              peer_ceb=0, members=(0,), peer_weights=None, dst=5, peer=9,
              peer_has=frozenset(), now=10.0, expect=None):
-        buf = Buffer()
-        buf.insert(Message(id=0, src=0, dst=dst, created_at=0.0, ttl=100.0))
+        messages, toward, missing = rank_masks(
+            [Message(id=0, src=0, dst=dst, created_at=0.0, ttl=100.0)], peer_has=peer_has
+        )
         ctx = RelayContext(
             node=0,
-            buffer=buf,
+            messages=messages,
+            toward=toward,
             own_weights={dst: own_w},
             own_cb=own_cb,
             own_ceb=own_ceb,
@@ -215,7 +217,7 @@ def test_criterion_5_forwarding_rule_conformance():
             peer_centrality={peer: PeerRecord(peer_cb, peer_ceb)},
             threshold=0.01,
         )
-        got = decide(protocol, ctx, peer, buf.ids() - peer_has, now)
+        got = decide(protocol, ctx, peer, missing, now)
         want = [] if expect is None else [ForwardAction(0, expect)]
         return got == want
 

@@ -1,9 +1,11 @@
 """Property tests for the routing bookkeeping invariants.
 
 Small random configs run all four protocols, each at its own TTL, on one
-shared timeline.  After every tick each simulation's holder masks must name
-exactly the buffers holding each message, and its count of unresolved
-messages must equal the messages neither delivered nor expired.  A run must
+shared timeline.  After every tick each simulation's per-message holder masks
+must be the exact transpose of its per-node ``held`` masks, no node may
+buffer a message addressed to itself, each node's ``got`` mask must name
+exactly the messages delivered to it, and the count of unresolved messages
+must equal the messages neither delivered nor expired.  A run must
 end with every message resolved exactly once, never deliver more than it
 generated, and log no forward or delivery of a message after its expiry.
 """
@@ -13,7 +15,7 @@ import io
 from hypothesis import given, settings, strategies as st
 
 from dtnsim.engine import SimConfig, Simulation, shared_timeline
-from dtnsim.routing import Protocol
+from dtnsim.routing import Protocol, bits
 
 
 class CheckedSimulation(Simulation):
@@ -35,10 +37,21 @@ def check_holders(sim):
     holders = sim.holders
     injected = {m.id for m in sim.messages if m.created_at <= sim.now}
     assert set(holders) == injected
+    ids = [m.id for m in sim._schedule.ranked]
+    assert ids == sorted(m.id for m in sim.messages)
+    buffers = [{ids[r] for r in bits(mask)} for mask in sim.held]
     for mid, nodes in holders.items():
-        assert nodes == {i for i, buffer in enumerate(sim.buffers) if mid in buffer}
-    buffered = set().union(*(buffer.ids() for buffer in sim.buffers))
-    assert buffered <= injected
+        assert nodes == {i for i, buffer in enumerate(buffers) if mid in buffer}
+    assert set().union(*buffers) <= injected
+    toward = [0] * sim.cfg.node_count
+    for r, m in enumerate(sim._schedule.ranked):
+        toward[m.dst] |= 1 << r
+    assert sim._schedule.toward == toward
+    for d, mask in enumerate(sim.held):
+        assert mask & toward[d] == 0
+    dst = {m.id: m.dst for m in sim.messages}
+    for j, mask in enumerate(sim.got):
+        assert {ids[r] for r in bits(mask)} == {mid for mid in sim.delivered if dst[mid] == j}
 
 
 def expired_undelivered(sim, now):

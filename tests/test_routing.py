@@ -6,11 +6,11 @@ import pytest
 from dtnsim.contacts import MAX_WEIGHT
 from dtnsim.routing import (
     Action,
-    Buffer,
     ForwardAction,
     Message,
     Protocol,
     RelayContext,
+    bits,
     decide,
 )
 from dtnsim.social import PeerRecord
@@ -20,11 +20,25 @@ def msg(mid=0, src=0, dst=5, created=0.0, ttl=100.0):
     return Message(id=mid, src=src, dst=dst, created_at=created, ttl=ttl)
 
 
-def make_buffer(*messages):
-    buf = Buffer()
-    for m in messages:
-        buf.insert(m)
-    return buf
+#: node ids 0..NODES-1 may appear as endpoints, peers and advertised destinations
+NODES = 10
+
+
+def rank_masks(workload, buffered=None, peer_has=()):
+    """``(messages, toward, missing)`` as :func:`decide` reads them.
+
+    ``messages`` is ``workload`` by rank (ascending id), ``toward[d]`` the
+    mask of its messages addressed to ``d``, and ``missing`` the mask of
+    the ``buffered`` ids (default: the whole workload) not in ``peer_has``.
+    """
+    messages = sorted(workload, key=lambda m: m.id)
+    toward = [0] * NODES
+    missing = 0
+    for rank, m in enumerate(messages):
+        toward[m.dst] |= 1 << rank
+        if (buffered is None or m.id in buffered) and m.id not in peer_has:
+            missing |= 1 << rank
+    return messages, toward, missing
 
 
 def heard(sender, cb=0, ceb=0, weights=None):
@@ -33,9 +47,12 @@ def heard(sender, cb=0, ceb=0, weights=None):
 
 
 def ctx(buffer, own_weights=None, cb=0, ceb=0, members=(), peer_weights=None):
+    """A context for node 0 holding the messages ``buffer``."""
+    messages, toward, _ = rank_masks(buffer)
     return RelayContext(
         node=0,
-        buffer=buffer,
+        messages=messages,
+        toward=toward,
         own_weights=own_weights or {},
         own_cb=cb,
         own_ceb=ceb,
@@ -45,7 +62,7 @@ def ctx(buffer, own_weights=None, cb=0, ceb=0, members=(), peer_weights=None):
     )
 
 
-# -- message and buffer basics ----------------------------------------------------
+# -- message basics ----------------------------------------------------------------
 
 
 def test_message_validation():
@@ -61,26 +78,10 @@ def test_ttl_boundary_inclusive():
     assert not m.is_live(60.5)
 
 
-def test_buffer_accept_relay_increments_hops():
-    buf = Buffer()
-    delivered = buf.accept(msg(), receiver=3)
-    assert not delivered
-    assert buf.get(0).hops == 1
-
-
-def test_buffer_accept_destination_consumes():
-    buf = Buffer()
-    delivered = buf.accept(msg(dst=3), receiver=3)
-    assert delivered
-    assert len(buf) == 0
-
-
-def test_buffer_dedupes_by_id():
-    buf = Buffer()
-    buf.accept(msg(), receiver=3)
-    buf.accept(msg(), receiver=3)
-    assert len(buf) == 1
-    assert buf.get(0).hops == 1  # second copy ignored
+def test_bits_lists_set_positions_ascending():
+    assert bits(0) == []
+    assert bits(0b101001) == [0, 3, 5]
+    assert bits(1 << 600 | 1 << 64 | 1) == [0, 64, 600]
 
 
 # -- decide: a table of traced cases ------------------------------------------------
@@ -99,11 +100,12 @@ def actions_of(protocol, context, peer, advert=None, peer_has=frozenset(), now=1
             peer_weights={**context.peer_weights, sender: weights},
             peer_centrality={**context.peer_centrality, sender: record},
         )
-    return decide(protocol, context, peer, context.buffer.ids() - peer_has, now)
+    _, _, missing = rank_masks(context.messages, peer_has=peer_has)
+    return decide(protocol, context, peer, missing, now)
 
 
 def test_sentinel_weight_orders_above_everything():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     got = actions_of(
         Protocol.FRIENDSHIP, ctx(buf, {5: 1e308}), 9, heard(9, weights={5: MAX_WEIGHT})
     )
@@ -112,13 +114,13 @@ def test_sentinel_weight_orders_above_everything():
 
 def test_deliver_to_destination_for_every_protocol():
     for proto in Protocol:
-        buf = make_buffer(msg(dst=5))
+        buf = [msg(dst=5)]
         got = actions_of(proto, ctx(buf), 5, heard(5))
         assert got == [ForwardAction(0, DLV)]
 
 
 def test_epidemic_floods_and_respects_summary_vector():
-    buf = make_buffer(msg(0, dst=5), msg(1, dst=6))
+    buf = [msg(0, dst=5), msg(1, dst=6)]
     got = actions_of(Protocol.EPIDEMIC, ctx(buf), 9, heard(9))
     assert got == [ForwardAction(0, COPY), ForwardAction(1, COPY)]
     got = actions_of(Protocol.EPIDEMIC, ctx(buf), 9, heard(9), peer_has={0, 1})
@@ -126,13 +128,13 @@ def test_epidemic_floods_and_respects_summary_vector():
 
 
 def test_expired_message_generates_no_action():
-    buf = make_buffer(msg(created=0, ttl=5))
+    buf = [msg(created=0, ttl=5)]
     got = actions_of(Protocol.EPIDEMIC, ctx(buf), 9, heard(9), now=6.0)
     assert got == []
 
 
 def test_friendship_requires_destination_friendship_and_improvement():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     # peer is a friend of the destination and better than us
     got = actions_of(
         Protocol.FRIENDSHIP, ctx(buf, {5: 0.1}), 9, heard(9, weights={5: 0.5})
@@ -151,7 +153,7 @@ def test_friendship_requires_destination_friendship_and_improvement():
 
 
 def test_better_relay_upgraded_to_delete_when_it_beats_whole_network():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(
         buf,
         {5: 0.2},
@@ -163,7 +165,7 @@ def test_better_relay_upgraded_to_delete_when_it_beats_whole_network():
 
 
 def test_better_relay_only_copied_when_a_member_matches_it():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(
         buf,
         {5: 0.2},
@@ -175,14 +177,14 @@ def test_better_relay_only_copied_when_a_member_matches_it():
 
 
 def test_delete_check_is_vacuous_with_empty_network():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {5: 0.0}, members={0})
     got = actions_of(Protocol.PROPOSED_I, context, 9, heard(9, weights={5: 0.5}))
     assert got == [ForwardAction(0, FAD)]
 
 
 def test_contacted_peer_is_excluded_from_the_deletion_maximum():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     # peer 9 is itself a view member; its own cached weight must not block
     context = ctx(
         buf,
@@ -195,7 +197,7 @@ def test_contacted_peer_is_excluded_from_the_deletion_maximum():
 
 
 def test_centrality_fallback_uses_plain_betweenness():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {5: 0.5}, cb=1, ceb=9)
     got = actions_of(
         Protocol.PROPOSED_I, context, 9, heard(9, cb=4, ceb=2, weights={5: 0.2})
@@ -204,7 +206,7 @@ def test_centrality_fallback_uses_plain_betweenness():
 
 
 def test_centrality_fallback_uses_endpoint_betweenness():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {5: 0.5}, cb=9, ceb=1)
     got = actions_of(
         Protocol.PROPOSED_II, context, 9, heard(9, cb=2, ceb=4, weights={5: 0.2})
@@ -213,7 +215,7 @@ def test_centrality_fallback_uses_endpoint_betweenness():
 
 
 def test_divergence_between_proposed_variants():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {5: 0.5}, cb=3, ceb=5)
     h = heard(9, cb=2, ceb=6, weights={5: 0.2})
     assert actions_of(Protocol.PROPOSED_I, context, 9, h) == []
@@ -221,7 +223,7 @@ def test_divergence_between_proposed_variants():
 
 
 def test_all_ties_produce_no_action():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {5: 0.5}, cb=3, ceb=3)
     h = heard(9, cb=3, ceb=3, weights={5: 0.5})
     for proto in (Protocol.FRIENDSHIP, Protocol.PROPOSED_I, Protocol.PROPOSED_II):
@@ -229,14 +231,14 @@ def test_all_ties_produce_no_action():
 
 
 def test_zero_weights_and_no_hello_block_proposed_forwarding():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {}, cb=0, ceb=0)
     assert actions_of(Protocol.PROPOSED_I, context, 9, None) == []
     assert actions_of(Protocol.PROPOSED_I, context, 9, heard(9)) == []
 
 
 def test_sentinel_advertisement_beats_every_finite_weight():
-    buf = make_buffer(msg(dst=5))
+    buf = [msg(dst=5)]
     context = ctx(buf, {5: 0.99}, members={0, 3}, peer_weights={3: {5: 123.0}})
     got = actions_of(
         Protocol.PROPOSED_I, context, 9, heard(9, weights={5: MAX_WEIGHT})
@@ -245,9 +247,7 @@ def test_sentinel_advertisement_beats_every_finite_weight():
 
 
 def test_actions_are_ordered_by_message_id():
-    buf = Buffer()
-    for mid in (4, 1, 3):
-        buf.insert(msg(mid, dst=5))
+    buf = [msg(mid, dst=5) for mid in (4, 1, 3)]
     got = actions_of(Protocol.EPIDEMIC, ctx(buf), 9, heard(9))
     assert [a.message_id for a in got] == [1, 3, 4]
 
@@ -255,7 +255,7 @@ def test_actions_are_ordered_by_message_id():
 def test_variants_agree_when_centrality_signs_agree():
     rng = random.Random(31)
     for _ in range(200):
-        buf = make_buffer(msg(dst=5))
+        buf = [msg(dst=5)]
         w_own = rng.choice([0.0, 0.2, 0.5])
         w_peer = rng.choice([0.0, 0.2, 0.5])
         sign = rng.choice([-1, 0, 1])
