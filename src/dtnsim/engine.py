@@ -42,26 +42,34 @@ holding it (the transpose of ``held``).  A contact of ``i`` with ``j`` may
 move ``held[i] & ~(held[j] | got[j])``.
 
 Link weights live in one place, a cache with one slot per directed pair
-that has a contact window, evaluated for every slot in one vectorized pass
-per tick.  A node's ``{peer: weight}`` map is read from its slots at most
-once per tick and serves routing, the hello payload, maintain and the
-``validate`` checks; nothing is sized n x n.  The cache shares its
-arithmetic with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both
-paths produce bit-identical values (the ``validate`` config flag makes the
-engine assert exactly that, and disables the incremental maintain
-scheduling in favour of maintaining every node every hello tick).
+that has a contact window.  The slots whose window holds a contact are
+evaluated in one vectorized pass per tick; an empty slot's weight is
+constant until its next encounter, so it is written once, when the slot
+empties.  Each node keeps its friend slots (weight above the threshold),
+updated only where a slot crosses it, and its hello payload's weight map is
+read from those alone.  A node's whole ``{peer: weight}`` map is read from
+its slots at most once per tick, and only for a reader that needs it:
+routing, a maintain pass that runs, and the ``validate`` checks; nothing is
+sized n x n.  The cache shares its arithmetic with
+:meth:`dtnsim.contacts.ContactWindow.link_weight`, so both paths produce
+bit-identical values (the ``validate`` config flag makes the engine assert
+exactly that, maintains every node every hello tick instead of the dirty
+ones, and runs every maintain pass in full, checking that a pass the view
+would have skipped changes nothing).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from dtnsim.contacts import MAX_WEIGHT, ContactWindow
+from dtnsim.contacts import MAX_WEIGHT, ContactWindow, weight_from_state
 from dtnsim.graph import NodeId
 from dtnsim.mobility import (
     Arena,
@@ -125,6 +133,12 @@ class SimConfig:
 
     def check(self) -> None:
         """Raise ValueError naming the first bad field."""
+        for name in ("node_count", "message_count", "missed_hello_limit", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
+        if not isinstance(self.protocol, Protocol):
+            raise ValueError(f"protocol must be a Protocol member (got {self.protocol!r})")
         positive = [
             ("node_count", self.node_count),
             ("arena_width", self.arena_width),
@@ -408,33 +422,63 @@ class _Schedule:
         return cls(ordered, expiries, ranked, rank, toward)
 
 
-#: weight-cache slot arrays: attribute -> (dtype, fill for unused capacity)
+#: weight-cache arrays: attribute -> (dtype, fill for unused capacity).  The
+#: first group is indexed by slot, the second by position among the live
+#: (non-empty) slots; both have the same capacity.
 _SLOT_ARRAYS = {
+    "_slot_weight": (float, 0.0),
+    "_refresh_at": (float, math.inf),
+    "_was_friend": (bool, False),
+    "_row": (np.intp, 0),
     "_fs": (float, 0.0),
     "_le": (float, 0.0),
     "_mid": (float, 0.0),
     "_open": (bool, False),
-    "_empty": (bool, False),
-    "_refresh_at": (float, math.inf),
-    "_was_friend": (bool, False),
-    "_row": (np.intp, 0),
+    "_live": (np.intp, 0),
 }
 
 _NO_WEIGHTS: dict[NodeId, float] = {}
 
 
 class _Node:
-    __slots__ = ("id", "view", "windows", "slots", "weights", "weights_at")
+    __slots__ = ("id", "view", "windows", "slots", "friends", "weights", "weights_at")
 
-    def __init__(self, node_id: NodeId) -> None:
+    def __init__(self, node_id: NodeId, validate: bool) -> None:
         self.id = node_id
-        self.view = SocialNetworkView(node_id)
+        self.view = SocialNetworkView(node_id, validate)
         self.windows: dict[NodeId, ContactWindow] = {}
         #: peer -> weight-cache slot, for the same peers as ``windows``
         self.slots: dict[NodeId, int] = {}
+        #: the entries of ``slots`` whose weight is above the threshold, in
+        #: slot order; replaced, never edited, when the friends change
+        self.friends: dict[NodeId, int] = {}
         #: ``{peer: weight}`` read from the slots at time ``weights_at``
         self.weights = _NO_WEIGHTS
         self.weights_at: float | None = None
+
+
+class _LazyWeights(Mapping):
+    """Node ``i``'s :meth:`Timeline.link_weights` at ``now``, read on first use."""
+
+    __slots__ = ("_timeline", "_i", "_now")
+
+    def __init__(self, timeline: "Timeline", i: NodeId, now: float) -> None:
+        self._timeline, self._i, self._now = timeline, i, now
+
+    def _map(self) -> dict[NodeId, float]:
+        return self._timeline.link_weights(self._i, self._now)
+
+    def __getitem__(self, j: NodeId) -> float:
+        return self._map()[j]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._map())
+
+    def __len__(self) -> int:
+        return len(self._map())
+
+    def items(self):
+        return self._map().items()
 
 
 class Timeline:
@@ -471,7 +515,7 @@ class Timeline:
             )
         if self.trace.tick_count == 0:
             raise ValueError("trace holds no ticks")
-        self.nodes = [_Node(i) for i in range(config.node_count)]
+        self.nodes = [_Node(i, config.validate) for i in range(config.node_count)]
         self.tracker = ContactTracker(
             self.trace.positions, config.comm_range, config.missed_hello_limit
         )
@@ -480,11 +524,17 @@ class Timeline:
         # Weight cache: one slot per directed pair (i, j) that has a contact
         # window, in creation order; nodes[i].slots maps j to it.  Slot
         # arrays have spare capacity beyond len(self._slot_win); see _new_slot.
+        # The gap decompositions of the live (non-empty) slots are packed in
+        # positions 0.._live_count-1 (``_live`` names each one's slot, and
+        # ``_pos`` each slot's position, -1 while empty).  An empty slot's
+        # weight is constant, so it is written once, when the slot empties.
         self._slot_win: list[ContactWindow] = []
         for name, (dtype, fill) in _SLOT_ARRAYS.items():
             setattr(self, name, np.full(0, fill, dtype=dtype))
-        #: per-slot link weight at the last _compute_weights
-        self._weight: list[float] = []
+        self._pos: list[int] = []
+        self._live_count = 0
+        #: ``_slot_weight`` as a list, built on first read (None: not yet)
+        self._weight_list: list[float] | None = None
         self._next_refresh = float("inf")
 
         self.contact_log: list[ContactEvent] = []
@@ -542,40 +592,77 @@ class Timeline:
         self.nodes[i].slots[j] = slot
         self._slot_win.append(win)
         self._row[slot] = i
+        self._pos.append(-1)
         return slot
 
     def _refresh_slot(self, slot: int, now: float) -> None:
         win = self._slot_win[slot]
         win.slide(now)
         state = win.weight_state(now)
-        self._fs[slot] = state.first_start
-        self._le[slot] = state.last_end
-        self._mid[slot] = state.mid_sum
-        self._open[slot] = state.open
-        self._empty[slot] = state.empty
+        self._weight_list = None
+        pos = self._pos[slot]
+        if state.empty:
+            if pos >= 0:
+                # the last live slot takes this one's position
+                last = self._live_count - 1
+                moved = int(self._live[last])
+                for arr in (self._fs, self._le, self._mid, self._open, self._live):
+                    arr[pos] = arr[last]
+                self._pos[moved] = pos
+                self._pos[slot] = -1
+                self._live_count = last
+            # constant until the next encounter, so out of the vector pass
+            weight = weight_from_state(state, now, self.cfg.window_size)
+            self._slot_weight[slot] = weight
+            if (weight > self.cfg.threshold) != self._was_friend[slot]:
+                self._was_friend[slot] = not self._was_friend[slot]
+                self._friends_changed(self._row[slot : slot + 1])
+        else:
+            if pos < 0:
+                pos = self._pos[slot] = self._live_count
+                self._live[pos] = slot
+                self._live_count += 1
+            self._fs[pos] = state.first_start
+            self._le[pos] = state.last_end
+            self._mid[pos] = state.mid_sum
+            self._open[pos] = state.open
         self._refresh_at[slot] = state.next_refresh
         if state.next_refresh < self._next_refresh:
             self._next_refresh = state.next_refresh
 
+    def _friends_changed(self, rows: np.ndarray) -> None:
+        """Mark the nodes ``rows`` dirty and rebuild their friend-slot maps."""
+        self._dirty[rows] = True
+        was_friend = self._was_friend
+        for i in set(rows.tolist()):
+            node = self.nodes[i]
+            node.friends = {j: s for j, s in node.slots.items() if was_friend[s]}
+
     def _compute_weights(self, now: float) -> None:
-        k = len(self._slot_win)
-        if k == 0:
-            return
-        w = self.cfg.window_size
-        w0 = now - w
-        empty = self._empty[:k]
-        lead = np.maximum(self._fs[:k] - w0, 0.0)
-        lead = np.where(empty, w, lead)
-        trail = np.where(self._open[:k] | empty, 0.0, now - self._le[:k])
-        integral = (0.5 * lead * lead + self._mid[:k]) + 0.5 * trail * trail
-        weights = np.full_like(integral, MAX_WEIGHT)
-        np.divide(w, integral, out=weights, where=integral > 0.0)
-        self._weight = weights.tolist()
-        friends = weights > self.cfg.threshold
-        flipped = friends != self._was_friend[:k]
-        if flipped.any():
-            self._dirty[self._row[:k][flipped]] = True
-            self._was_friend[:k] = friends
+        m = self._live_count
+        if m:
+            self._weight_list = None
+            w = self.cfg.window_size
+            w0 = now - w
+            lead = np.maximum(self._fs[:m] - w0, 0.0)
+            trail = np.where(self._open[:m], 0.0, now - self._le[:m])
+            integral = (0.5 * lead * lead + self._mid[:m]) + 0.5 * trail * trail
+            weights = np.full_like(integral, MAX_WEIGHT)
+            np.divide(w, integral, out=weights, where=integral > 0.0)
+            slots = self._live[:m]
+            self._slot_weight[slots] = weights
+            friends = weights > self.cfg.threshold
+            flipped = friends != self._was_friend[slots]
+            if flipped.any():
+                slots = slots[flipped]
+                self._was_friend[slots] = friends[flipped]
+                self._friends_changed(self._row[slots])
+
+    def _weights(self) -> list[float]:
+        """Every slot's link weight at the last :meth:`_compute_weights`."""
+        if self._weight_list is None:
+            self._weight_list = self._slot_weight[: len(self._slot_win)].tolist()
+        return self._weight_list
 
     def link_weights(self, i: NodeId, now: float) -> dict[NodeId, float]:
         """Node ``i``'s ``{peer: weight}`` over its windows, for the tick at
@@ -586,7 +673,7 @@ class Timeline:
         """
         node = self.nodes[i]
         if node.weights_at != now:
-            weight = self._weight
+            weight = self._weights()
             node.weights = {j: weight[slot] for j, slot in node.slots.items()}
             node.weights_at = now
         return node.weights
@@ -623,33 +710,37 @@ class Timeline:
     def _hello_and_maintain(
         self, pairs: list[tuple[NodeId, NodeId]], now: float
     ) -> None:
-        payloads: dict[NodeId, HelloPayload] = {}
+        nodes, dirty = self.nodes, self._dirty
         threshold = self.cfg.threshold
-
-        def payload_for(x: NodeId) -> HelloPayload:
-            if x not in payloads:
-                friends = {
-                    j: w for j, w in self.link_weights(x, now).items() if w > threshold
-                }
-                payloads[x] = self.nodes[x].view.make_hello(link_weights=friends)
-            return payloads[x]
-
+        # one payload per node per tick; its weight map holds the friends only
+        payloads: dict[NodeId, HelloPayload] = {}
         # maintain reads the friend flags, the window key set and the staged
         # advertisements; the first two mark nodes dirty where they change,
         # and apply_hello reports a changed advertisement
         for u, v in pairs:
-            if self.nodes[v].view.apply_hello(payload_for(u)):
-                self._dirty[v] = True
-            if self.nodes[u].view.apply_hello(payload_for(v)):
-                self._dirty[u] = True
+            for x, y in ((u, v), (v, u)):
+                payload = payloads.get(x)
+                if payload is None:
+                    sender, weight = nodes[x], self._weights()
+                    payload = payloads[x] = sender.view.make_hello(
+                        {j: weight[s] for j, s in sender.friends.items()}
+                    )
+                if nodes[y].view.apply_hello(payload):
+                    dirty[y] = True
 
         if self.cfg.validate:
             todo = range(self.cfg.node_count)
         else:
-            todo = np.flatnonzero(self._dirty).tolist()
+            todo = np.flatnonzero(dirty).tolist()
         for i in todo:
-            self._dirty[i] = self.nodes[i].view.maintain(
-                now, threshold=threshold, weights=self.link_weights(i, now)
+            node = nodes[i]
+            # slots are never retired, so their count tells a new peer, and
+            # node.friends is replaced whenever the friends change
+            dirty[i] = node.view.maintain(
+                now,
+                threshold=threshold,
+                weights=_LazyWeights(self, i, now),
+                basis=(len(node.slots), node.friends),
             )
 
     def _validate_tick(self, now: float) -> None:
@@ -664,6 +755,11 @@ class Timeline:
                         f"{scalar!r} != {cached!r}"
                     )
             friends = {j for j, w in weights.items() if w > self.cfg.threshold}
+            if list(node.friends) != [j for j in node.slots if j in friends]:
+                raise AssertionError(
+                    f"friend-slot map of node {i} drifted at t={now}: "
+                    f"{list(node.friends)} vs {sorted(friends)}"
+                )
             view_friends = node.view.graph.neighbors(node.id)
             if friends != view_friends:
                 raise AssertionError(

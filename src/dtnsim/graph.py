@@ -24,9 +24,13 @@ class UnknownVertexError(KeyError):
 
 
 class SocialGraph:
-    """Simple undirected graph: no self loops, no parallel edges."""
+    """Simple undirected graph: no self loops, no parallel edges.
 
-    __slots__ = ("_adj",)
+    ``_edits`` counts the changes made through this class's methods, so a
+    cache can tell whether the graph was edited since it last looked.
+    """
+
+    __slots__ = ("_adj", "_edits")
 
     def __init__(
         self,
@@ -34,6 +38,7 @@ class SocialGraph:
         edges: Iterable[tuple[NodeId, NodeId]] = (),
     ) -> None:
         self._adj: dict[NodeId, set[NodeId]] = {}
+        self._edits = 0
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -46,6 +51,7 @@ class SocialGraph:
         if v in self._adj:
             return False
         self._adj[v] = set()
+        self._edits += 1
         return True
 
     def add_edge(self, u: NodeId, v: NodeId) -> bool:
@@ -61,6 +67,7 @@ class SocialGraph:
             return False
         self._adj[u].add(v)
         self._adj[v].add(u)
+        self._edits += 1
         return True
 
     def remove_edge(self, u: NodeId, v: NodeId) -> bool:
@@ -68,6 +75,7 @@ class SocialGraph:
         if u in self._adj and v in self._adj[u]:
             self._adj[u].discard(v)
             self._adj[v].discard(u)
+            self._edits += 1
             return True
         return False
 
@@ -77,6 +85,7 @@ class SocialGraph:
             return False
         for w in self._adj.pop(v):
             self._adj[w].discard(v)
+        self._edits += 1
         return True
 
     # -- queries -----------------------------------------------------------

@@ -8,36 +8,19 @@ ego network, so self-centrality is computed on it directly.
 Hello payloads also piggyback the sender's self-computed centralities and
 its above-threshold link weights; the routing conditions need both and the
 hello is the only channel a DTN node has.
+
+A view redoes only what its inputs changed: the neighbour list and
+centralities of its payloads are built once per revision, and a maintain
+pass that cannot change the graph is skipped (see ``maintain``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from dtnsim.contacts import ContactWindow
 from dtnsim.graph import NodeId, SocialGraph, ego_centrality
-
-
-@dataclass(frozen=True)
-class HelloPayload:
-    """What a node broadcasts: who it is friends with and how central it is.
-
-    Every receiver stores ``link_weights`` as it is, so the map is shared by
-    the payload and the views that heard it, and must not be mutated.
-    """
-
-    sender: NodeId
-    neighbor_list: frozenset[NodeId]
-    sender_cb: Fraction | float = 0
-    sender_ceb: Fraction | float = 0
-    #: sender's link weights, restricted to peers above the friend threshold
-    link_weights: Mapping[NodeId, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.sender in self.neighbor_list:
-            raise ValueError("sender must not appear in its own neighbor list")
 
 
 @dataclass(frozen=True)
@@ -48,10 +31,54 @@ class PeerRecord:
     ceb: Fraction | float
 
 
-class SocialNetworkView:
-    """A node's locally maintained social network and peer caches."""
+@dataclass(frozen=True)
+class HelloPayload:
+    """What a node broadcasts: who it is friends with and how central it is.
 
-    def __init__(self, owner: NodeId) -> None:
+    Every receiver stores ``link_weights`` and ``record`` as they are, so
+    both are shared by the payload and the views that heard it, and must not
+    be mutated.
+    """
+
+    sender: NodeId
+    neighbor_list: frozenset[NodeId]
+    sender_cb: Fraction | float = 0
+    sender_ceb: Fraction | float = 0
+    #: sender's link weights, restricted to peers above the friend threshold
+    link_weights: Mapping[NodeId, float] = field(default_factory=dict)
+    #: ``sender_cb`` and ``sender_ceb`` as one record; built from them when
+    #: not given
+    record: PeerRecord | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.sender in self.neighbor_list:
+            raise ValueError("sender must not appear in its own neighbor list")
+        if self.record is None:
+            object.__setattr__(self, "record", PeerRecord(self.sender_cb, self.sender_ceb))
+
+
+class _Pass(NamedTuple):
+    """What a ``maintain`` pass that changed nothing saw: a later call that
+    sees the same may skip its pass."""
+
+    threshold: float
+    basis: object
+    revision: int
+    graph: SocialGraph
+    edits: int
+    friends: set[NodeId]
+    #: non-friends it evicted, whose staged advertisements it popped
+    evicted: list[NodeId]
+
+
+class SocialNetworkView:
+    """A node's locally maintained social network and peer caches.
+
+    With ``validate``, :meth:`maintain` runs its full pass on every call and
+    raises AssertionError where a skipped pass would have differed.
+    """
+
+    def __init__(self, owner: NodeId, validate: bool = False) -> None:
         self.owner = owner
         self.graph = SocialGraph(vertices=[owner])
         self.peer_centrality: dict[NodeId, PeerRecord] = {}
@@ -60,24 +87,34 @@ class SocialNetworkView:
         self.peer_weights: dict[NodeId, Mapping[NodeId, float]] = {}
         # last advertised neighbor list per peer; staged for the next maintain
         self._advertised: dict[NodeId, frozenset[NodeId]] = {}
+        # senders whose staged advertisement changed since the last maintain
+        self._restaged: set[NodeId] = set()
         self.revision = 0
-        self._centrality_cache: tuple[int, tuple[Fraction, Fraction]] | None = None
+        self._validate = validate
+        # (stamp, (cb, ceb)) and (stamp, neighbor list, record) as last built
+        self._centrality_cache: tuple[tuple, tuple[Fraction, Fraction]] | None = None
+        self._hello: tuple[tuple, frozenset[NodeId], PeerRecord] | None = None
+        self._last_pass: _Pass | None = None
 
     # -- hello handling ------------------------------------------------------
 
     def apply_hello(self, payload: HelloPayload) -> bool:
         """Cache a received hello.  Does not touch the graph; maintain does.
 
+        Stores the payload's ``record`` and ``link_weights`` as they are.
         Returns True when the advertisement staged for the next maintain
         changed: a sender with none staged, or a different neighbor list.
         """
         sender = payload.sender
-        self.peer_centrality[sender] = PeerRecord(payload.sender_cb, payload.sender_ceb)
+        self.peer_centrality[sender] = payload.record
         self.peer_weights[sender] = payload.link_weights
         advertised = frozenset(payload.neighbor_list)
-        changed = self._advertised.get(sender) != advertised
+        staged = self._advertised.get(sender)
+        if staged is advertised or staged == advertised:
+            return False
         self._advertised[sender] = advertised
-        return changed
+        self._restaged.add(sender)
+        return True
 
     def make_hello(
         self, link_weights: Mapping[NodeId, float] | None = None
@@ -87,15 +124,19 @@ class SocialNetworkView:
         ``link_weights`` is supplied by the owner of the contact windows
         (this view has no access to them) and should already be filtered to
         above-threshold peers.  The payload keeps a copy, so a later edit
-        of the caller's map does not reach the receivers.
+        of the caller's map does not reach the receivers.  The neighbor
+        list and centralities are built once per view revision (and graph
+        edit) and shared by every payload until it changes, with one
+        :class:`PeerRecord` that receivers store as it is.
         """
-        cb, ceb = self.my_centrality()
+        stamp = self._stamp()
+        if self._hello is None or self._hello[0] != stamp:
+            cb, ceb = self.my_centrality()
+            neighbors = frozenset(self.graph._adj[self.owner])
+            self._hello = (stamp, neighbors, PeerRecord(cb, ceb))
+        _, neighbors, record = self._hello
         return HelloPayload(
-            sender=self.owner,
-            neighbor_list=frozenset(self.graph.neighbors(self.owner)),
-            sender_cb=cb,
-            sender_ceb=ceb,
-            link_weights=dict(link_weights or {}),
+            self.owner, neighbors, record.cb, record.ceb, dict(link_weights or {}), record
         )
 
     # -- centrality ------------------------------------------------------------
@@ -106,13 +147,22 @@ class SocialNetworkView:
         The view graph is already the owner's expanded ego network, so no
         further extraction is needed.  :func:`~dtnsim.graph.ego_centrality`
         scores the owner alone, in integer path counts, and gives both; the
-        result is cached until the view's revision changes.
+        result is cached until the view's revision changes or its graph is
+        edited.
         """
-        if self._centrality_cache and self._centrality_cache[0] == self.revision:
+        stamp = self._stamp()
+        if self._centrality_cache and self._centrality_cache[0] == stamp:
             return self._centrality_cache[1]
         cb, ceb = ego_centrality(self.graph, self.owner)
-        self._centrality_cache = (self.revision, (cb, ceb))
+        self._centrality_cache = (stamp, (cb, ceb))
         return cb, ceb
+
+    def _stamp(self) -> tuple:
+        """Changes whenever the graph may have: ``maintain`` bumps the
+        revision when it changes the graph, and every other edit goes
+        through the graph's methods, which count it."""
+        graph = self.graph
+        return (self.revision, graph, graph._edits)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -121,49 +171,112 @@ class SocialNetworkView:
         now: float,
         *,
         threshold: float,
-        windows: Mapping[NodeId, ContactWindow] | None = None,
-        weights: Mapping[NodeId, float] | None = None,
+        weights: Mapping[NodeId, float],
+        basis: object = None,
     ) -> bool:
         """Re-derive the view from current link weights and staged hellos.
 
-        For every peer with recorded contact history: above-threshold peers
-        become (or stay) friends and their advertised adjacency is merged;
-        everyone else is evicted along with the adjacency only they vouched
-        for.  Peers are processed in ascending id order.  Returns True if
-        the graph changed.
+        For every peer in ``weights``: above-threshold peers become (or
+        stay) friends and their advertised adjacency is merged; everyone
+        else is evicted along with the adjacency only they vouched for, and
+        its staged advertisement is dropped.  Peers are processed in
+        ascending id order.  Returns True if the graph changed.
+
+        A pass that cannot change the graph is skipped: when the previous
+        pass returned False, the revision, the graph (not edited since),
+        the threshold, the peers and the friends are what that pass saw, and
+        no friend's staged advertisement changed since, this pass would
+        repeat the same operations.  The skip only drops again the staged
+        advertisements of the non-friends that pass evicted.  The view
+        compares the peers and friends itself, reading every weight; a
+        caller that tracks them passes ``basis`` instead, any value that
+        compares unequal to the last one whenever the peers or friends of
+        ``weights`` may have changed.  ``weights`` is then read only by a
+        pass that runs, so it may be a lazy mapping.
         """
-        if weights is None:
-            if windows is None:
-                raise ValueError("maintain needs either windows or weights")
-            weights = {j: w.link_weight(now) for j, w in windows.items()}
+        if basis is None:
+            basis = (
+                frozenset(weights),
+                frozenset(j for j, w in weights.items() if w > threshold),
+            )
+        graph = self.graph
+        last = self._last_pass
+        skip = (
+            last is not None
+            and last.basis == basis
+            and last.threshold == threshold
+            and last.revision == self.revision
+            and last.graph is graph
+            and last.edits == graph._edits
+            and self._restaged.isdisjoint(last.friends)
+        )
+        self._restaged.clear()
+        if skip and not self._validate:
+            for j in last.evicted:
+                self._advertised.pop(j, None)
+            return False
+        changed, friends, evicted = self._pass(weights, threshold)
+        if skip and (changed or evicted != last.evicted):
+            raise AssertionError(
+                f"maintain skip of node {self.owner} is not exact: the full pass "
+                f"returned {changed} and evicted {evicted}, not {last.evicted}"
+            )
+        if changed:
+            self.revision += 1
+            self._last_pass = None
+        else:
+            self._last_pass = _Pass(
+                threshold, basis, self.revision, graph, graph._edits, friends, evicted
+            )
+        return changed
+
+    def _pass(
+        self, weights: Mapping[NodeId, float], threshold: float
+    ) -> tuple[bool, set[NodeId], list[NodeId]]:
+        """The full maintain pass: (changed, friends, evicted non-friends)."""
         # Edit the adjacency in place, toggling each edge actually added or
         # dropped in ``flips`` (one toggled twice is back as it was).  A lost
         # vertex changes the graph beyond its edges only if it began isolated.
-        adj, owner = self.graph._adj, self.owner
+        adj, owner, advertised = self.graph._adj, self.owner, self._advertised
+        mine = adj[owner]
         flips: set[tuple[NodeId, NodeId]] = set()
         isolated = [v for v, nbrs in adj.items() if not nbrs and v != owner]
-        for j in sorted(weights):
+        friends: set[NodeId] = set()
+        evicted: list[NodeId] = []
+
+        def toggle(u: NodeId, v: NodeId) -> None:
+            edge = (u, v) if u < v else (v, u)
+            if edge in flips:
+                flips.remove(edge)
+            else:
+                flips.add(edge)
+
+        for j, w in sorted(weights.items()):
             if j == owner:
                 continue
-            if weights[j] > threshold:
-                advertised = self._advertised.get(j, ())
-                for u, v in ((owner, j), *((j, k) for k in advertised if k != j)):
-                    if v not in adj[u]:  # u is the owner or a friend: present
-                        adj[u].add(v)
-                        adj.setdefault(v, set()).add(u)
-                        flips ^= {(u, v) if u < v else (v, u)}
+            if w > threshold:
+                friends.add(j)
+                if j not in mine:
+                    mine.add(j)
+                    adj.setdefault(j, set()).add(owner)
+                    toggle(owner, j)
+                theirs = adj[j]
+                for k in advertised.get(j, ()):
+                    if k != j and k not in theirs:
+                        theirs.add(k)
+                        adj.setdefault(k, set()).add(j)
+                        toggle(j, k)
             elif j in adj:
                 # evicted with all its edges, so also those only it vouched for
-                self._advertised.pop(j, None)
+                evicted.append(j)
+                advertised.pop(j, None)
                 for k in adj.pop(j):
                     adj[k].discard(j)
-                    flips ^= {(j, k) if j < k else (k, j)}
+                    toggle(j, k)
         for v in [v for v, nbrs in adj.items() if not nbrs and v != owner]:
             del adj[v]  # no surviving friend vouches for it
         changed = bool(flips) or any(v not in adj for v in isolated)
-        if changed:
-            self.revision += 1
-        return changed
+        return changed, friends, evicted
 
     def __repr__(self) -> str:
         return f"SocialNetworkView(owner={self.owner}, graph={self.graph!r})"

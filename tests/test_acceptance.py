@@ -33,6 +33,7 @@ from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
 from test_contacts import build_window, quadrature_weight
 from test_routing import rank_masks
+from test_social import weights_at
 
 
 def report(number, name, ok):
@@ -145,13 +146,15 @@ def test_criterion_4_network_construction_conformance():
     win.record_encounter(4)
     win.record_departure(6)
     view.apply_hello(HelloPayload(sender=1, neighbor_list=frozenset({2})))
-    view.maintain(10, threshold=threshold, windows={1: win})
+    view.maintain(10, threshold=threshold, weights=weights_at(10, {1: win}))
     ok &= set(view.graph.vertices) == {0, 1, 2}
     ok &= sorted(view.graph.edges()) == [(0, 1), (1, 2)]
 
     # lose-friend: empty 600 s window weighs 1/300 < 0.01; peer and its
     # advertised neighbourhood are evicted
-    view.maintain(1000, threshold=threshold, windows={1: ContactWindow(1, 600)})
+    view.maintain(
+        1000, threshold=threshold, weights=weights_at(1000, {1: ContactWindow(1, 600)})
+    )
     ok &= set(view.graph.vertices) == {0}
     ok &= view.graph.edge_count() == 0
 
@@ -165,13 +168,17 @@ def test_criterion_4_network_construction_conformance():
     view = SocialNetworkView(0)
     view.apply_hello(HelloPayload(1, frozenset({9})))
     view.apply_hello(HelloPayload(2, frozenset({9})))
-    view.maintain(600, threshold=threshold, windows={1: strong(1), 2: strong(2)})
+    view.maintain(
+        600, threshold=threshold, weights=weights_at(600, {1: strong(1), 2: strong(2)})
+    )
     ok &= set(view.graph.vertices) == {0, 1, 2, 9}
     fresh = ContactWindow(2, 600)
     fresh.record_encounter(1000)
     fresh.record_departure(1550)
     view.maintain(
-        1600, threshold=threshold, windows={1: ContactWindow(1, 600), 2: fresh}
+        1600,
+        threshold=threshold,
+        weights=weights_at(1600, {1: ContactWindow(1, 600), 2: fresh}),
     )
     ok &= set(view.graph.vertices) == {0, 2, 9}
     ok &= sorted(view.graph.edges()) == [(0, 2), (2, 9)]
@@ -183,7 +190,7 @@ def test_criterion_4_network_construction_conformance():
         boundary.record_encounter(t)
         boundary.record_departure(t)
     ok &= boundary.link_weight(600) == 0.01
-    view.maintain(600, threshold=threshold, windows={1: boundary})
+    view.maintain(600, threshold=threshold, weights=weights_at(600, {1: boundary}))
     ok &= set(view.graph.vertices) == {0}
 
     report(4, "social-network construction conformance", ok)

@@ -74,6 +74,37 @@ def test_config_check_names_offending_field():
         SimConfig(hello_period=0.7).check()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("node_count", 25.0),
+        ("node_count", True),
+        ("message_count", 100.5),
+        ("message_count", True),
+        ("missed_hello_limit", 2.5),
+        ("missed_hello_limit", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", "1"),
+    ],
+)
+def test_config_check_requires_integer_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        replace(SimConfig(), **{name: value}).check()
+
+
+def test_config_check_accepts_numpy_integers():
+    SimConfig(node_count=np.int64(5), seed=np.uint32(3)).check()
+
+
+@pytest.mark.parametrize("value", ["epidemic", "proposed2", None, 0])
+def test_config_check_requires_protocol_member(value):
+    with pytest.raises(ValueError, match="^protocol must be a Protocol member"):
+        SimConfig(protocol=value).check()
+    with pytest.raises(ValueError, match="^protocol"):
+        Simulation(SimConfig(protocol=value, node_count=5, message_count=3))
+
+
 FLOAT_FIELDS = (
     "arena_width",
     "arena_height",

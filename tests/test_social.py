@@ -23,6 +23,11 @@ def weak_window(peer):
     return ContactWindow(peer, 600)
 
 
+def weights_at(now, windows):
+    """Each window's link weight at ``now``: what ``maintain`` reads."""
+    return {j: w.link_weight(now) for j, w in windows.items()}
+
+
 def hello(sender, neighbors=(), cb=0, ceb=0, weights=None):
     return HelloPayload(
         sender=sender,
@@ -91,7 +96,7 @@ def test_apply_hello_last_writer_wins():
 def test_apply_hello_from_unknown_node_is_cached():
     view = SocialNetworkView(0)
     view.apply_hello(hello(42, neighbors={3}))
-    view.maintain(600, threshold=TH, windows={42: strong_window(42)})
+    view.maintain(600, threshold=TH, weights=weights_at(600, {42: strong_window(42)}))
     assert 42 in view.graph.vertices
     assert 3 in view.graph.vertices
 
@@ -105,7 +110,7 @@ def test_add_friend_and_merge_advertised_neighbors():
     win.record_encounter(4)
     win.record_departure(6)
     view.apply_hello(hello(1, neighbors={2}))
-    view.maintain(10, threshold=TH, windows={1: win})
+    view.maintain(10, threshold=TH, weights=weights_at(10, {1: win}))
     assert set(view.graph.vertices) == {0, 1, 2}
     assert sorted(view.graph.edges()) == [(0, 1), (1, 2)]
 
@@ -113,9 +118,9 @@ def test_add_friend_and_merge_advertised_neighbors():
 def test_losing_friend_removes_learned_neighborhood():
     view = SocialNetworkView(0)
     view.apply_hello(hello(1, neighbors={2}))
-    view.maintain(600, threshold=TH, windows={1: strong_window(1)})
+    view.maintain(600, threshold=TH, weights=weights_at(600, {1: strong_window(1)}))
     assert set(view.graph.vertices) == {0, 1, 2}
-    view.maintain(1600, threshold=TH, windows={1: weak_window(1)})
+    view.maintain(1600, threshold=TH, weights=weights_at(1600, {1: weak_window(1)}))
     assert set(view.graph.vertices) == {0}
     assert view.graph.edge_count() == 0
 
@@ -127,7 +132,7 @@ def test_threshold_boundary_does_not_create_edge():
         win.record_encounter(t)
         win.record_departure(t)
     assert win.link_weight(600) == TH
-    view.maintain(600, threshold=TH, windows={1: win})
+    view.maintain(600, threshold=TH, weights=weights_at(600, {1: win}))
     assert set(view.graph.vertices) == {0}
 
 
@@ -136,10 +141,14 @@ def test_shared_two_hop_vertex_survives_single_removal():
     view.apply_hello(hello(1, neighbors={9}))
     view.apply_hello(hello(2, neighbors={9}))
     windows = {1: strong_window(1), 2: strong_window(2)}
-    view.maintain(600, threshold=TH, windows=windows)
+    view.maintain(600, threshold=TH, weights=weights_at(600, windows))
     assert set(view.graph.vertices) == {0, 1, 2, 9}
     # friend 1 decays; 9 is still vouched for by friend 2
-    view.maintain(1600, threshold=TH, windows={1: weak_window(1), 2: strong_window(2, 1000, 1550)})
+    view.maintain(
+        1600,
+        threshold=TH,
+        weights=weights_at(1600, {1: weak_window(1), 2: strong_window(2, 1000, 1550)}),
+    )
     assert set(view.graph.vertices) == {0, 2, 9}
     assert sorted(view.graph.edges()) == [(0, 2), (2, 9)]
 
@@ -148,9 +157,13 @@ def test_two_hop_vertex_that_is_own_friend_survives():
     view = SocialNetworkView(0)
     view.apply_hello(hello(1, neighbors={2}))
     windows = {1: strong_window(1), 2: strong_window(2)}
-    view.maintain(600, threshold=TH, windows=windows)
+    view.maintain(600, threshold=TH, weights=weights_at(600, windows))
     assert sorted(view.graph.edges()) == [(0, 1), (0, 2), (1, 2)]
-    view.maintain(1600, threshold=TH, windows={1: weak_window(1), 2: strong_window(2, 1000, 1550)})
+    view.maintain(
+        1600,
+        threshold=TH,
+        weights=weights_at(1600, {1: weak_window(1), 2: strong_window(2, 1000, 1550)}),
+    )
     assert set(view.graph.vertices) == {0, 2}
     assert sorted(view.graph.edges()) == [(0, 2)]
 
@@ -160,10 +173,10 @@ def test_maintain_is_idempotent():
     view.apply_hello(hello(1, neighbors={2, 3}))
     view.apply_hello(hello(4, neighbors={3}))
     windows = {1: strong_window(1), 4: strong_window(4), 5: weak_window(5)}
-    changed = view.maintain(600, threshold=TH, windows=windows)
+    changed = view.maintain(600, threshold=TH, weights=weights_at(600, windows))
     assert changed
     snapshot = view.graph.copy()
-    changed = view.maintain(600, threshold=TH, windows=windows)
+    changed = view.maintain(600, threshold=TH, weights=weights_at(600, windows))
     assert not changed
     assert view.graph == snapshot
 
@@ -171,9 +184,9 @@ def test_maintain_is_idempotent():
 def test_add_then_remove_restores_single_vertex_view():
     view = SocialNetworkView(0)
     view.apply_hello(hello(3, neighbors={8, 9}))
-    view.maintain(600, threshold=TH, windows={3: strong_window(3)})
+    view.maintain(600, threshold=TH, weights=weights_at(600, {3: strong_window(3)}))
     assert len(view.graph.vertices) == 4
-    view.maintain(1600, threshold=TH, windows={3: weak_window(3)})
+    view.maintain(1600, threshold=TH, weights=weights_at(1600, {3: weak_window(3)}))
     assert set(view.graph.vertices) == {0}
 
 
@@ -183,7 +196,7 @@ def test_every_vertex_within_two_hops_after_maintain():
     view.apply_hello(hello(2, neighbors={4}))
     view.apply_hello(hello(9, neighbors={1}))
     windows = {1: strong_window(1), 2: strong_window(2), 9: weak_window(9)}
-    view.maintain(600, threshold=TH, windows=windows)
+    view.maintain(600, threshold=TH, weights=weights_at(600, windows))
     for v in view.graph.vertices:
         dist = hop_distance(view.graph, 0, v)
         assert dist is not None and dist <= 2
@@ -196,7 +209,7 @@ def test_threshold_consistency_of_one_hop_set():
         2: weak_window(2),
         3: strong_window(3),
     }
-    view.maintain(600, threshold=TH, windows=windows)
+    view.maintain(600, threshold=TH, weights=weights_at(600, windows))
     friends = {
         j for j, w in windows.items() if w.link_weight(600) > TH
     }
@@ -208,7 +221,7 @@ def test_maintain_accepts_precomputed_weights():
     view.apply_hello(hello(5, neighbors={6}))
     view.maintain(7, threshold=TH, weights={5: 0.62})
     assert sorted(view.graph.edges()) == [(0, 5), (5, 6)]
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # weights are required
         SocialNetworkView(1).maintain(0, threshold=TH)
 
 
