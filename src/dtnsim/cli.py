@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Sequence
 
 from dtnsim.engine import (
@@ -29,23 +29,30 @@ from dtnsim.routing import Protocol
 
 ENV_PREFIX = "DTNSIM_"
 
+#: config keys that set a ``SimConfig`` field -> that field, whose default
+#: and type give the key's default and converter
+_CONFIG_FIELDS: dict[str, str] = {
+    "area_width": "arena_width",
+    "area_height": "arena_height",
+    "comm_range": "comm_range",
+    "window_size": "window_size",
+    "threshold": "threshold",
+    "message_count": "message_count",
+    "generation_span": "generation_span",
+    "hello_period": "hello_period",
+    "missed_hello_limit": "missed_hello_limit",
+    "pause": "pause",
+    "seed": "seed",
+}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}
+
 _TABLE_DEFAULTS: dict[str, str] = {
     "protocol": "epidemic,friendship,proposed1,proposed2",
     "nodes": "25,75",
     "speed": "0.5,1.0,1.25,1.5",
     "ttl": "60,120,180,240,300,360",
     "runs": "10",
-    "seed": "1",
-    "area_width": "1000",
-    "area_height": "1500",
-    "comm_range": "3",
-    "window_size": "600",
-    "threshold": "0.01",
-    "message_count": "1000",
-    "generation_span": "1000",
-    "hello_period": "1",
-    "missed_hello_limit": "3",
-    "pause": "0",
+    **{key: str(_FIELD_DEFAULTS[name]) for key, name in _CONFIG_FIELDS.items()},
     "out": "",
     "trace": "",
     "event_log": "",
@@ -145,22 +152,12 @@ def parse_config(
         ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    base = {}
+    for key, name in _CONFIG_FIELDS.items():
+        conv = _to_int if isinstance(_FIELD_DEFAULTS[name], int) else _to_float
+        base[name] = conv(key, values[key])
     spec = ExperimentSpec(
-        base=SimConfig(
-            arena_width=_to_float("area_width", values["area_width"]),
-            arena_height=_to_float("area_height", values["area_height"]),
-            comm_range=_to_float("comm_range", values["comm_range"]),
-            window_size=_to_float("window_size", values["window_size"]),
-            threshold=_to_float("threshold", values["threshold"]),
-            message_count=_to_int("message_count", values["message_count"]),
-            generation_span=_to_float("generation_span", values["generation_span"]),
-            hello_period=_to_float("hello_period", values["hello_period"]),
-            missed_hello_limit=_to_int(
-                "missed_hello_limit", values["missed_hello_limit"]
-            ),
-            pause=_to_float("pause", values["pause"]),
-            seed=_to_int("seed", values["seed"]),
-        ),
+        base=SimConfig(**base),
         protocols=protocols,
         node_counts=_to_list("nodes", values["nodes"], _to_int),
         speeds=_to_list("speed", values["speed"], _to_float),
@@ -380,18 +377,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     overrides = {
         key: value
-        for key, value in {
-            "protocol": args.protocol,
-            "ttl": args.ttl,
-            "nodes": args.nodes,
-            "speed": args.speed,
-            "runs": args.runs,
-            "seed": args.seed,
-            "trace": args.trace,
-            "out": args.out,
-            "event_log": args.event_log,
-        }.items()
-        if value is not None
+        for key, value in vars(args).items()
+        if key in _TABLE_DEFAULTS and value is not None
     }
     try:
         spec = parse_config(args.config, overrides)

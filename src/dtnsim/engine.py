@@ -55,7 +55,7 @@ sized n x n.  The cache shares its arithmetic with
 bit-identical values (the ``validate`` config flag makes the engine assert
 exactly that, maintains every node every hello tick instead of the dirty
 ones, and runs every maintain pass in full, checking that a pass the view
-would have skipped changes nothing).
+would have skipped changes nothing; it keeps no log of contact events).
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer (got {value!r})")
         if not isinstance(self.protocol, Protocol):
             raise ValueError(f"protocol must be a Protocol member (got {self.protocol!r})")
+        if not isinstance(self.validate, bool):
+            raise ValueError(f"validate must be a bool (got {self.validate!r})")
         positive = [
             ("node_count", self.node_count),
             ("arena_width", self.arena_width),
@@ -537,7 +539,6 @@ class Timeline:
         self._weight_list: list[float] | None = None
         self._next_refresh = float("inf")
 
-        self.contact_log: list[ContactEvent] = []
         # index of the next tick to simulate
         self._next_tick = 0
         self._active: list[Simulation] = []
@@ -784,8 +785,6 @@ class Timeline:
             now = idx * cfg.tick
             try:
                 events, pairs = self.tracker.update(idx, now)
-                if cfg.validate:
-                    self.contact_log.extend(events)
                 if self._social:
                     self._apply_contact_events(events, now)
                     self._due_refreshes(now)
@@ -835,7 +834,8 @@ class Simulation:
     tick, which is this run's last tick when it finished last.  The timeline
     keeps them only while a protocol that reads them is running, so after
     an epidemic run alone each ``nodes[i].view`` holds only its owner and
-    each ``nodes[i].windows`` is empty.
+    each ``nodes[i].windows`` is empty.  No contact log is kept: a fresh
+    :class:`ContactTracker` over ``trace`` replays the run's contact events.
     """
 
     def __init__(
@@ -883,7 +883,6 @@ class Simulation:
         self._ran = False
         #: the MetricsReport, or the exception the run ended with
         self._outcome: MetricsReport | Exception | None = None
-        self._contacts_seen: int | None = None
 
         self._log_fh: IO[str] | None = None
         self._own_log = False
@@ -903,12 +902,6 @@ class Simulation:
             m.id: set(bits(self._holders[self._schedule.rank[m.id]]))
             for m in self.messages[: self._next_inject]
         }
-
-    @property
-    def contact_log(self) -> list[ContactEvent]:
-        """Contact events up to this run's last tick (``validate`` mode only)."""
-        log = self.timeline.contact_log
-        return log if self._contacts_seen is None else log[: self._contacts_seen]
 
     # -- logging ---------------------------------------------------------------
 
@@ -1027,7 +1020,6 @@ class Simulation:
 
     def _finish(self, outcome: MetricsReport | Exception) -> None:
         self._outcome = outcome
-        self._contacts_seen = len(self.timeline.contact_log)
         if self._log_fh is not None:
             self._log_fh.flush()
             if self._own_log:

@@ -105,9 +105,6 @@ class SocialGraph:
             raise UnknownVertexError(u)
         return len(self._adj[u])
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
         """Each undirected edge once, as (min, max)."""
         for u, nbrs in self._adj.items():
@@ -266,39 +263,6 @@ def ego_centrality(g: SocialGraph, o: NodeId) -> tuple[Fraction, Fraction]:
     return cb, cb + len(others)
 
 
-def betweenness_by_enumeration(
-    g: SocialGraph, include_endpoints: bool = False
-) -> dict[NodeId, Fraction]:
-    """Brute-force oracle: explicitly enumerate every shortest path.
-
-    Exponential in the worst case; intended for validating the accumulation
-    implementation on small graphs.
-    """
-    score: dict[NodeId, Fraction] = {v: Fraction(0) for v in g.vertices}
-    verts = sorted(g.vertices)
-    for i, s in enumerate(verts):
-        _, preds, _, dist = _sssp_counts(g, s)
-        for t in verts[i + 1 :]:
-            if t not in dist:
-                continue
-            paths: list[list[NodeId]] = []
-
-            def _back(v: NodeId, tail: list[NodeId]) -> None:
-                if v == s:
-                    paths.append([s] + tail)
-                    return
-                for p in preds[v]:
-                    _back(p, [v] + tail)
-
-            _back(t, [])
-            share = Fraction(1, len(paths))
-            for path in paths:
-                members = path if include_endpoints else path[1:-1]
-                for v in members:
-                    score[v] += share
-    return score
-
-
 # -- expanded ego networks ---------------------------------------------------
 
 
@@ -326,31 +290,3 @@ def expanded_ego_betweenness(
     """The ego's betweenness computed on its own expanded ego network."""
     cb, ceb = ego_centrality(extract_expanded_ego(g, ego), ego)
     return ceb if endpoint_biased else cb
-
-
-# -- debug dump format --------------------------------------------------------
-
-
-def dump_edges(g: SocialGraph) -> str:
-    """One edge per line as "u v"; isolated vertices as "u -"."""
-    lines = [f"{u} {v}" for u, v in sorted(g.edges())]
-    lines.extend(f"{u} -" for u in sorted(g.vertices) if g.degree(u) == 0)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_edges(text: str) -> SocialGraph:
-    """Inverse of :func:`dump_edges`."""
-    g = SocialGraph()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v' or 'u -'")
-        u = int(parts[0])
-        if parts[1] == "-":
-            g.add_vertex(u)
-        else:
-            g.add_edge(u, int(parts[1]))
-    return g

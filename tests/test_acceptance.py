@@ -17,7 +17,6 @@ from dtnsim.contacts import MAX_WEIGHT, ContactWindow
 from dtnsim.graph import (
     SocialGraph,
     betweenness,
-    betweenness_by_enumeration,
     endpoint_betweenness,
     expanded_ego_betweenness,
 )
@@ -32,6 +31,7 @@ from dtnsim.routing import (
 from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
 from test_contacts import build_window, quadrature_weight
+from test_graph import betweenness_by_enumeration
 from test_routing import rank_masks
 from test_social import weights_at
 

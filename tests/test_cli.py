@@ -3,7 +3,7 @@ import io
 import pytest
 
 from dtnsim.cli import ConfigError, main, parse_config, run_experiment
-from dtnsim.engine import replicate
+from dtnsim.engine import SimConfig, replicate
 from dtnsim.mobility import load_trace
 from dtnsim.routing import Protocol
 
@@ -44,6 +44,7 @@ def test_defaults_follow_the_evaluation_table():
     assert base.window_size == 600.0
     assert base.threshold == 0.01
     assert base.message_count == 1000
+    assert base == SimConfig()  # every other SimConfig-backed key, too
 
 
 def test_file_values_and_flag_precedence(tmp_path):

@@ -72,6 +72,8 @@ def test_config_check_names_offending_field():
         SimConfig(node_count=1).check()
     with pytest.raises(ValueError, match="hello_period"):
         SimConfig(hello_period=0.7).check()
+    with pytest.raises(ValueError, match="validate"):
+        SimConfig(validate="no").check()
 
 
 @pytest.mark.parametrize(
@@ -144,6 +146,16 @@ def tracker_over(frames, comm_range=3.0, missed_hello_limit=3):
     return ContactTracker(np.array(frames, dtype=float), comm_range, missed_hello_limit)
 
 
+def contact_events(sim):
+    """Contact events of ``sim``'s ticks, from a fresh tracker over its trace."""
+    cfg = sim.cfg
+    tracker = ContactTracker(sim.trace.positions, cfg.comm_range, cfg.missed_hello_limit)
+    events = []
+    for idx in range(round(sim.now / cfg.tick) + 1):
+        events += tracker.update(idx, idx * cfg.tick)[0]
+    return events
+
+
 def test_encounter_at_boundary_distance():
     tracker = tracker_over([[[0.0, 0.0], [2.9, 0.0]]], comm_range=3.0, missed_hello_limit=3)
     events, pairs = tracker.update(0, 0.0)
@@ -186,7 +198,7 @@ def test_encounter_depart_alternate_per_pair():
     sim = Simulation(cfg)
     sim.run()
     state: dict[tuple[int, int], ContactEventKind] = {}
-    for ev in sim.contact_log:
+    for ev in contact_events(sim):
         previous = state.get(ev.pair)
         if ev.kind is ContactEventKind.ENCOUNTER:
             assert previous in (None, ContactEventKind.DEPART)
@@ -343,7 +355,7 @@ def test_windows_match_ground_truth_contact_events():
     sim = Simulation(cfg)
     sim.run()
     rebuilt: dict[tuple[int, int], ContactWindow] = {}
-    for ev in sim.contact_log:
+    for ev in contact_events(sim):
         u, v = ev.pair
         for a, b in ((u, v), (v, u)):
             win = rebuilt.get((a, b))

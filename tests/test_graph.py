@@ -6,17 +6,49 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.graph import (
+    NodeId,
     SocialGraph,
     UnknownVertexError,
+    _sssp_counts,
     betweenness,
-    betweenness_by_enumeration,
-    dump_edges,
     ego_centrality,
     endpoint_betweenness,
     expanded_ego_betweenness,
     extract_expanded_ego,
-    parse_edges,
 )
+
+
+def betweenness_by_enumeration(
+    g: SocialGraph, include_endpoints: bool = False
+) -> dict[NodeId, Fraction]:
+    """Brute-force oracle: explicitly enumerate every shortest path.
+
+    Exponential in the worst case; intended for validating the accumulation
+    implementation on small graphs.
+    """
+    score: dict[NodeId, Fraction] = {v: Fraction(0) for v in g.vertices}
+    verts = sorted(g.vertices)
+    for i, s in enumerate(verts):
+        _, preds, _, dist = _sssp_counts(g, s)
+        for t in verts[i + 1 :]:
+            if t not in dist:
+                continue
+            paths: list[list[NodeId]] = []
+
+            def _back(v: NodeId, tail: list[NodeId]) -> None:
+                if v == s:
+                    paths.append([s] + tail)
+                    return
+                for p in preds[v]:
+                    _back(p, [v] + tail)
+
+            _back(t, [])
+            share = Fraction(1, len(paths))
+            for path in paths:
+                members = path if include_endpoints else path[1:-1]
+                for v in members:
+                    score[v] += share
+    return score
 
 
 def complete_graph(n):
@@ -266,17 +298,3 @@ def test_ego_betweenness_never_exceeds_local_information():
         for v in g.vertices:
             assert expanded_ego_betweenness(g, v) >= 0
 
-
-# -- dump format -----------------------------------------------------------------
-
-
-def test_dump_and_parse_round_trip():
-    g = SocialGraph(vertices=[9], edges=[(0, 1), (1, 2)])
-    text = dump_edges(g)
-    assert text == "0 1\n1 2\n9 -\n"
-    assert parse_edges(text) == g
-
-
-def test_parse_rejects_malformed_lines():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_edges("0 1\n0 1 2\n")

@@ -242,12 +242,9 @@ def test_epidemic_alone_matches_epidemic_grouped_with_proposed2(validate):
     proposed = replace(epidemic, protocol=Protocol.PROPOSED_II)
     _, (sim, _), (log, _) = attach([epidemic, proposed])
     report = sim.run()
-    alone_report, alone_log, alone = logged_run(epidemic)
+    alone_report, alone_log, _ = logged_run(epidemic)
     assert (report, log.getvalue()) == (alone_report, alone_log)
     assert ",FWD," in alone_log
-    assert sim.contact_log == alone.contact_log
-    if validate:
-        assert alone.contact_log  # validate still records every contact event
 
 
 def test_standalone_epidemic_run_skips_hello_and_maintain(monkeypatch):
