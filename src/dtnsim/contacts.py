@@ -58,9 +58,9 @@ class WeightState:
 def weight_from_state(state: WeightState, now: float, window_size: float) -> float:
     """Evaluate the link weight from a gap decomposition.
 
-    Kept as the single formula shared by :meth:`ContactWindow.link_weight`
-    and the simulation engine's vectorized weight cache, so both produce
-    bit-identical values.
+    The single formula: :meth:`ContactWindow.link_weight` evaluates it, and
+    the simulation engine's vectorized weight cache repeats its arithmetic
+    operation for operation, so both produce bit-identical values.
     """
     w0 = now - window_size
     if state.empty:
@@ -77,7 +77,8 @@ def weight_from_state(state: WeightState, now: float, window_size: float) -> flo
 class ContactWindow:
     """Recent contact intervals with one peer, clipped to the last W seconds.
 
-    Single-writer: exactly one simulated node owns and mutates a window.
+    Single-writer: exactly one owner (the engine's weight cache, for the
+    pair of nodes it belongs to) mutates a window.
     """
 
     __slots__ = ("peer", "window_size", "_intervals", "_slid_to")

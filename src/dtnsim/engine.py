@@ -41,16 +41,16 @@ and those delivered to it (``got``), per destination those addressed to it
 holding it (the transpose of ``held``).  A contact of ``i`` with ``j`` may
 move ``held[i] & ~(held[j] | got[j])``.
 
-Link weights live in one place, a cache with one slot per directed pair
-that has a contact window.  The slots whose window holds a contact are
-evaluated in one vectorized pass per tick; an empty slot's weight is
-constant until its next encounter, so it is written once, when the slot
-empties.  Each node keeps its friend slots (weight above the threshold),
+Link weights live in one place, a cache with one slot per unordered pair
+that has met: contacts are symmetric, so both ends see the same weight, and
+``nodes[u].slots[v]`` and ``nodes[v].slots[u]`` name the same slot and its
+one contact window.  Every slot is evaluated in one vectorized pass per
+tick.  Each node keeps its friend slots (weight above the threshold),
 updated only where a slot crosses it, and its hello payload's weight map is
-read from those alone.  A node's whole ``{peer: weight}`` map is read from
-its slots at most once per tick, and only for a reader that needs it:
-routing, a maintain pass that runs, and the ``validate`` checks; nothing is
-sized n x n.  The cache shares its arithmetic with
+read from those alone.  Every other reader (routing, a maintain pass that
+runs, the ``validate`` checks) sees a node's ``{peer: weight}`` through a
+read-only view of its slots that copies nothing; nothing is sized n x n.
+The cache shares its arithmetic with
 :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both paths produce
 bit-identical values (the ``validate`` config flag makes the engine assert
 exactly that, maintains every node every hello tick instead of the dirty
@@ -69,7 +69,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from dtnsim.contacts import MAX_WEIGHT, ContactWindow, weight_from_state
+from dtnsim.contacts import MAX_WEIGHT, ContactWindow
 from dtnsim.graph import NodeId
 from dtnsim.mobility import (
     Arena,
@@ -424,81 +424,80 @@ class _Schedule:
         return cls(ordered, expiries, ranked, rank, toward)
 
 
-#: weight-cache arrays: attribute -> (dtype, fill for unused capacity).  The
-#: first group is indexed by slot, the second by position among the live
-#: (non-empty) slots; both have the same capacity.
+#: weight-cache arrays, indexed by slot: attribute -> (dtype, fill for
+#: unused capacity); ``_row`` holds each slot's two ends
 _SLOT_ARRAYS = {
-    "_slot_weight": (float, 0.0),
     "_refresh_at": (float, math.inf),
     "_was_friend": (bool, False),
-    "_row": (np.intp, 0),
+    "_row": ((np.intp, 2), 0),
     "_fs": (float, 0.0),
     "_le": (float, 0.0),
     "_mid": (float, 0.0),
     "_open": (bool, False),
-    "_live": (np.intp, 0),
+    "_empty": (bool, False),
 }
 
 _NO_WEIGHTS: dict[NodeId, float] = {}
 
 
 class _Node:
-    __slots__ = ("id", "view", "windows", "slots", "friends", "weights", "weights_at")
+    __slots__ = ("id", "view", "slots", "friends")
 
     def __init__(self, node_id: NodeId, validate: bool) -> None:
         self.id = node_id
         self.view = SocialNetworkView(node_id, validate)
-        self.windows: dict[NodeId, ContactWindow] = {}
-        #: peer -> weight-cache slot, for the same peers as ``windows``
+        #: peer -> weight-cache slot, shared with the peer's entry for this node
         self.slots: dict[NodeId, int] = {}
         #: the entries of ``slots`` whose weight is above the threshold, in
         #: slot order; replaced, never edited, when the friends change
         self.friends: dict[NodeId, int] = {}
-        #: ``{peer: weight}`` read from the slots at time ``weights_at``
-        self.weights = _NO_WEIGHTS
-        self.weights_at: float | None = None
 
 
-class _LazyWeights(Mapping):
-    """Node ``i``'s :meth:`Timeline.link_weights` at ``now``, read on first use."""
+class _SlotWeights(Mapping):
+    """A node's ``{peer: weight}``, read from the slot cache on access.
 
-    __slots__ = ("_timeline", "_i", "_now")
+    Valid only within the tick it was made in; nothing may store one.
+    """
 
-    def __init__(self, timeline: "Timeline", i: NodeId, now: float) -> None:
-        self._timeline, self._i, self._now = timeline, i, now
+    __slots__ = ("_timeline", "_slots")
 
-    def _map(self) -> dict[NodeId, float]:
-        return self._timeline.link_weights(self._i, self._now)
+    def __init__(self, timeline: "Timeline", slots: dict[NodeId, int]) -> None:
+        self._timeline, self._slots = timeline, slots
 
     def __getitem__(self, j: NodeId) -> float:
-        return self._map()[j]
+        return self._timeline._weights()[self._slots[j]]
+
+    def get(self, j: NodeId, default=None):
+        slot = self._slots.get(j)
+        return default if slot is None else self._timeline._weights()[slot]
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._map())
+        return iter(self._slots)
 
     def __len__(self) -> int:
-        return len(self._map())
+        return len(self._slots)
 
     def items(self):
-        return self._map().items()
+        weight = self._timeline._weights()
+        return [(j, weight[slot]) for j, slot in self._slots.items()]
 
 
 class Timeline:
     """The protocol- and TTL-independent part of a run, shared by simulations.
 
-    Holds the trace, the contact tracker, the contact windows, the per-slot
-    weight cache (read through :meth:`link_weights`), and the node views
-    with the hello/maintain pass.  Simulations attach to it before it
-    starts; each :meth:`Simulation.run` then advances it tick by tick,
-    stepping every attached simulation that has not finished, until that
-    simulation's own run ends.  Build one for a group of configs with
-    :func:`shared_timeline`.
+    Holds the trace, the contact tracker, the weight cache (one slot and
+    one contact window per pair that has met, named by both ends'
+    ``nodes[i].slots``), and the node views with the hello/maintain pass.
+    Simulations attach to it before it starts; each :meth:`Simulation.run`
+    then advances it tick by tick, stepping every attached simulation that
+    has not finished, until that simulation's own run ends.  Build one for
+    a group of configs with :func:`shared_timeline`.
 
     The windows, weights and views are kept only while an unfinished
     simulation's protocol reads them (any protocol but epidemic); from the
     tick the last such simulation finishes they are left as they were.  On
     a timeline of epidemic simulations alone every view stays its owner
-    alone and every node's ``windows`` stays empty.
+    alone and every node's ``slots`` stays empty.
     """
 
     def __init__(self, config: SimConfig, trace: Trace | None = None) -> None:
@@ -515,6 +514,10 @@ class Timeline:
                 f"trace holds {self.trace.node_count} nodes, config wants "
                 f"{config.node_count}"
             )
+        if self.trace.tick != config.tick:
+            raise ValueError(
+                f"trace has tick {self.trace.tick!r}, config wants tick {config.tick!r}"
+            )
         if self.trace.tick_count == 0:
             raise ValueError("trace holds no ticks")
         self.nodes = [_Node(i, config.validate) for i in range(config.node_count)]
@@ -523,18 +526,15 @@ class Timeline:
         )
 
         self._dirty = np.zeros(config.node_count, dtype=bool)
-        # Weight cache: one slot per directed pair (i, j) that has a contact
-        # window, in creation order; nodes[i].slots maps j to it.  Slot
-        # arrays have spare capacity beyond len(self._slot_win); see _new_slot.
-        # The gap decompositions of the live (non-empty) slots are packed in
-        # positions 0.._live_count-1 (``_live`` names each one's slot, and
-        # ``_pos`` each slot's position, -1 while empty).  An empty slot's
-        # weight is constant, so it is written once, when the slot empties.
+        # Weight cache: one slot per unordered pair (u, v) that has met, in
+        # creation order; nodes[u].slots[v] and nodes[v].slots[u] both name
+        # it.  Slot arrays have spare capacity beyond len(self._slot_win);
+        # see _new_slot.
         self._slot_win: list[ContactWindow] = []
         for name, (dtype, fill) in _SLOT_ARRAYS.items():
             setattr(self, name, np.full(0, fill, dtype=dtype))
-        self._pos: list[int] = []
-        self._live_count = 0
+        #: every slot's weight at the last _compute_weights
+        self._slot_weight = np.zeros(0)
         #: ``_slot_weight`` as a list, built on first read (None: not yet)
         self._weight_list: list[float] | None = None
         self._next_refresh = float("inf")
@@ -582,7 +582,7 @@ class Timeline:
 
     # -- weight cache ------------------------------------------------------------
 
-    def _new_slot(self, i: NodeId, j: NodeId, win: ContactWindow) -> int:
+    def _new_slot(self, u: NodeId, v: NodeId) -> int:
         slot = len(self._slot_win)
         if slot == len(self._row):
             size = max(16, 2 * slot)
@@ -590,115 +590,73 @@ class Timeline:
                 grown = np.full(size, fill, dtype=dtype)
                 grown[:slot] = getattr(self, name)
                 setattr(self, name, grown)
-        self.nodes[i].slots[j] = slot
-        self._slot_win.append(win)
-        self._row[slot] = i
-        self._pos.append(-1)
+        self.nodes[u].slots[v] = self.nodes[v].slots[u] = slot
+        self._slot_win.append(ContactWindow(v, self.cfg.window_size))
+        self._row[slot] = (u, v)
         return slot
 
     def _refresh_slot(self, slot: int, now: float) -> None:
         win = self._slot_win[slot]
         win.slide(now)
         state = win.weight_state(now)
-        self._weight_list = None
-        pos = self._pos[slot]
-        if state.empty:
-            if pos >= 0:
-                # the last live slot takes this one's position
-                last = self._live_count - 1
-                moved = int(self._live[last])
-                for arr in (self._fs, self._le, self._mid, self._open, self._live):
-                    arr[pos] = arr[last]
-                self._pos[moved] = pos
-                self._pos[slot] = -1
-                self._live_count = last
-            # constant until the next encounter, so out of the vector pass
-            weight = weight_from_state(state, now, self.cfg.window_size)
-            self._slot_weight[slot] = weight
-            if (weight > self.cfg.threshold) != self._was_friend[slot]:
-                self._was_friend[slot] = not self._was_friend[slot]
-                self._friends_changed(self._row[slot : slot + 1])
-        else:
-            if pos < 0:
-                pos = self._pos[slot] = self._live_count
-                self._live[pos] = slot
-                self._live_count += 1
-            self._fs[pos] = state.first_start
-            self._le[pos] = state.last_end
-            self._mid[pos] = state.mid_sum
-            self._open[pos] = state.open
+        self._fs[slot] = state.first_start
+        self._le[slot] = state.last_end
+        self._mid[slot] = state.mid_sum
+        self._open[slot] = state.open
+        self._empty[slot] = state.empty
         self._refresh_at[slot] = state.next_refresh
         if state.next_refresh < self._next_refresh:
             self._next_refresh = state.next_refresh
 
-    def _friends_changed(self, rows: np.ndarray) -> None:
-        """Mark the nodes ``rows`` dirty and rebuild their friend-slot maps."""
-        self._dirty[rows] = True
-        was_friend = self._was_friend
-        for i in set(rows.tolist()):
-            node = self.nodes[i]
-            node.friends = {j: s for j, s in node.slots.items() if was_friend[s]}
-
     def _compute_weights(self, now: float) -> None:
-        m = self._live_count
-        if m:
-            self._weight_list = None
-            w = self.cfg.window_size
-            w0 = now - w
-            lead = np.maximum(self._fs[:m] - w0, 0.0)
-            trail = np.where(self._open[:m], 0.0, now - self._le[:m])
-            integral = (0.5 * lead * lead + self._mid[:m]) + 0.5 * trail * trail
-            weights = np.full_like(integral, MAX_WEIGHT)
-            np.divide(w, integral, out=weights, where=integral > 0.0)
-            slots = self._live[:m]
-            self._slot_weight[slots] = weights
-            friends = weights > self.cfg.threshold
-            flipped = friends != self._was_friend[slots]
-            if flipped.any():
-                slots = slots[flipped]
-                self._was_friend[slots] = friends[flipped]
-                self._friends_changed(self._row[slots])
+        k = len(self._slot_win)
+        if not k:
+            return
+        w = self.cfg.window_size
+        w0 = now - w
+        empty = self._empty[:k]
+        lead = np.where(empty, w, np.maximum(self._fs[:k] - w0, 0.0))
+        trail = np.where(self._open[:k] | empty, 0.0, now - self._le[:k])
+        integral = (0.5 * lead * lead + self._mid[:k]) + 0.5 * trail * trail
+        weights = np.full_like(integral, MAX_WEIGHT)
+        np.divide(w, integral, out=weights, where=integral > 0.0)
+        self._slot_weight = weights
+        self._weight_list = None
+        friends = weights > self.cfg.threshold
+        flipped = (friends != self._was_friend[:k]).nonzero()[0]
+        if len(flipped):
+            self._was_friend[flipped] = friends[flipped]
+            # both ends' friend-slot maps change; mark them dirty and rebuild
+            rows = self._row[flipped].ravel()
+            self._dirty[rows] = True
+            was_friend = self._was_friend
+            for i in set(rows.tolist()):
+                node = self.nodes[i]
+                node.friends = {j: s for j, s in node.slots.items() if was_friend[s]}
 
     def _weights(self) -> list[float]:
         """Every slot's link weight at the last :meth:`_compute_weights`."""
         if self._weight_list is None:
-            self._weight_list = self._slot_weight[: len(self._slot_win)].tolist()
+            self._weight_list = self._slot_weight.tolist()
         return self._weight_list
-
-    def link_weights(self, i: NodeId, now: float) -> dict[NodeId, float]:
-        """Node ``i``'s ``{peer: weight}`` over its windows, for the tick at
-        ``now`` (whose weights must already be computed).
-
-        Read from the slot cache once per node per tick and shared by every
-        reader, which must not change it.
-        """
-        node = self.nodes[i]
-        if node.weights_at != now:
-            weight = self._weights()
-            node.weights = {j: weight[slot] for j, slot in node.slots.items()}
-            node.weights_at = now
-        return node.weights
 
     # -- tick phases -----------------------------------------------------------
 
     def _apply_contact_events(self, events: list[ContactEvent], now: float) -> None:
         for ev in events:
             u, v = ev.pair
-            for a, b in ((u, v), (v, u)):
-                slot = self.nodes[a].slots.get(b)
-                if slot is None:
-                    win = self.nodes[a].windows[b] = ContactWindow(b, self.cfg.window_size)
-                    slot = self._new_slot(a, b, win)
-                else:
-                    win = self._slot_win[slot]
-                if ev.kind is ContactEventKind.ENCOUNTER:
-                    win.record_encounter(ev.time)
-                else:
-                    win.record_departure(ev.time)
-                self._refresh_slot(slot, now)
-                # a newly tracked peer changes the maintain iteration set
-                # even without a threshold flip
-                self._dirty[a] = True
+            slot = self.nodes[u].slots.get(v)
+            if slot is None:
+                slot = self._new_slot(u, v)
+                # a new peer changes both ends' maintain iteration sets even
+                # without a threshold flip
+                self._dirty[u] = self._dirty[v] = True
+            win = self._slot_win[slot]
+            if ev.kind is ContactEventKind.ENCOUNTER:
+                win.record_encounter(ev.time)
+            else:
+                win.record_departure(ev.time)
+            self._refresh_slot(slot, now)
 
     def _due_refreshes(self, now: float) -> None:
         if now <= self._next_refresh:
@@ -740,16 +698,16 @@ class Timeline:
             dirty[i] = node.view.maintain(
                 now,
                 threshold=threshold,
-                weights=_LazyWeights(self, i, now),
+                weights=_SlotWeights(self, node.slots),
                 basis=(len(node.slots), node.friends),
             )
 
     def _validate_tick(self, now: float) -> None:
         for i, node in enumerate(self.nodes):
-            weights = self.link_weights(i, now)
-            for j, win in node.windows.items():
-                scalar = win.link_weight(now)
-                cached = weights.get(j)
+            weights = _SlotWeights(self, node.slots)
+            for j, slot in node.slots.items():
+                scalar = self._slot_win[slot].link_weight(now)
+                cached = weights[j]
                 if scalar != cached:
                     raise AssertionError(
                         f"weight cache drift at t={now} pair ({i},{j}): "
@@ -829,12 +787,12 @@ class Simulation:
     had delivered (see the module docstring).
     Without ``timeline`` the simulation gets a timeline of its own; with one
     (see :func:`shared_timeline`) it joins that timeline's lockstep pass, and
-    ``trace`` must be left out.  ``nodes`` (views and contact windows) belong
+    ``trace`` must be left out.  ``nodes`` (views and weight slots) belong
     to the timeline, so after a grouped run they show the timeline's latest
     tick, which is this run's last tick when it finished last.  The timeline
     keeps them only while a protocol that reads them is running, so after
     an epidemic run alone each ``nodes[i].view`` holds only its owner and
-    each ``nodes[i].windows`` is empty.  No contact log is kept: a fresh
+    each ``nodes[i].slots`` is empty.  No contact log is kept: a fresh
     :class:`ContactTracker` over ``trace`` replays the run's contact events.
     """
 
@@ -936,12 +894,12 @@ class Simulation:
                     continue
                 ctx = contexts.get(i)
                 if ctx is None:
-                    ctx = contexts[i] = self._context(i, now)
+                    ctx = contexts[i] = self._context(i)
                 actions = decide(protocol, ctx, j, missing, now)
                 self._apply_actions(i, j, actions, now)
 
-    def _context(self, i: NodeId, now: float) -> RelayContext:
-        """Node ``i``'s state as :func:`decide` reads it at ``now``."""
+    def _context(self, i: NodeId) -> RelayContext:
+        """Node ``i``'s state as :func:`decide` reads it this tick."""
         ranked, toward = self._schedule.ranked, self._schedule.toward
         if self.cfg.protocol is Protocol.EPIDEMIC:
             # epidemic reads no weight or view
@@ -952,7 +910,7 @@ class Simulation:
             node=i,
             messages=ranked,
             toward=toward,
-            own_weights=self.timeline.link_weights(i, now),
+            own_weights=_SlotWeights(self.timeline, self.nodes[i].slots),
             own_cb=cb,
             own_ceb=ceb,
             members=view.graph.vertices,

@@ -203,6 +203,24 @@ def test_main_dump_trace_and_ingest(tmp_path, capsys):
     assert out_path.read_text().splitlines()[1].split(",")[5] == "ok"
 
 
+def test_main_marks_cells_of_a_trace_with_another_tick(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    out_path = tmp_path / "results.csv"
+    rows = [f"{t!r},{node},{node}.0,0.0" for t in (0.0, 2.0, 4.0) for node in range(4)]
+    trace_path.write_text("nodes=4 duration=4.0 tick=2.0\n" + "\n".join(rows) + "\n")
+    status = main(
+        [
+            "--nodes", "4", "--speed", "1.5", "--ttl", "30", "--runs", "1",
+            "--protocol", "epidemic,proposed2",
+            "--trace", str(trace_path), "--out", str(out_path),
+        ]
+    )
+    capsys.readouterr()
+    assert status == 1
+    statuses = [line.split(",")[5] for line in out_path.read_text().splitlines()[1:]]
+    assert statuses == ["error:ValueError", "error:ValueError"]
+
+
 def test_main_runs_sweep_to_stdout(tmp_path, capsys):
     status = main(
         [

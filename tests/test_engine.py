@@ -20,7 +20,7 @@ from dtnsim.engine import (
     schedule_messages,
     summarize,
 )
-from dtnsim.mobility import Trace
+from dtnsim.mobility import Trace, save_trace
 from dtnsim.routing import Message, Protocol
 
 
@@ -136,6 +136,19 @@ def test_simulation_rejects_non_finite_trace(value):
     cfg = SimConfig(node_count=3, message_count=1, window_size=10.0, generation_span=1.0)
     with pytest.raises(ValueError, match="tick 2, node 1"):
         Simulation(cfg, trace=trace)
+
+
+def test_simulation_rejects_trace_with_another_tick(tmp_path):
+    # a 2 s trace replayed on a 1 s grid would move every node twice as fast
+    trace = replace(still_trace([(0.0, 0.0), (1.0, 0.0)], ticks=4), tick=2.0, duration=6.0)
+    cfg = SimConfig(node_count=2, message_count=1, window_size=10.0, generation_span=1.0)
+    message = r"trace has tick 2\.0, config wants tick 1\.0"
+    with pytest.raises(ValueError, match=message):
+        Simulation(cfg, trace=trace)
+    path = tmp_path / "trace.csv"
+    save_trace(trace, str(path))
+    with pytest.raises(ValueError, match=message):
+        Simulation(replace(cfg, trace_path=str(path)))
 
 
 # -- contact tracking ----------------------------------------------------------------
@@ -356,25 +369,36 @@ def test_windows_match_ground_truth_contact_events():
     sim.run()
     rebuilt: dict[tuple[int, int], ContactWindow] = {}
     for ev in contact_events(sim):
-        u, v = ev.pair
-        for a, b in ((u, v), (v, u)):
-            win = rebuilt.get((a, b))
-            if win is None:
-                win = rebuilt[(a, b)] = ContactWindow(b, cfg.window_size)
-            if ev.kind is ContactEventKind.ENCOUNTER:
-                win.record_encounter(ev.time)
-            else:
-                win.record_departure(ev.time)
+        win = rebuilt.get(ev.pair)
+        if win is None:
+            win = rebuilt[ev.pair] = ContactWindow(ev.pair[1], cfg.window_size)
+        if ev.kind is ContactEventKind.ENCOUNTER:
+            win.record_encounter(ev.time)
+        else:
+            win.record_departure(ev.time)
     now = sim.now
     seen = set()
     for a, node in enumerate(sim.nodes):
-        for b, win in node.windows.items():
+        for b, slot in node.slots.items():
+            pair = (min(a, b), max(a, b))
+            win = sim.timeline._slot_win[slot]
             win.slide(now)
-            reference = rebuilt[(a, b)]
+            reference = rebuilt[pair]
             reference.slide(now)
             assert win.intervals == reference.intervals
-            seen.add((a, b))
+            seen.add(pair)
     assert seen == set(rebuilt)
+
+
+def test_each_contact_pair_has_one_slot_named_by_both_ends():
+    sim = Simulation(dense_config())
+    sim.run()
+    slots = set()
+    for i, node in enumerate(sim.nodes):
+        for j, slot in node.slots.items():
+            assert sim.nodes[j].slots[i] == slot
+            slots.add(slot)
+    assert len(slots) == len({ev.pair for ev in contact_events(sim)})
 
 
 def test_incremental_maintain_equals_full_maintain():

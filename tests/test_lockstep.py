@@ -264,7 +264,7 @@ def test_standalone_epidemic_run_skips_hello_and_maintain(monkeypatch):
     assert calls == {"maintain": 0, "make_hello": 0}
     for node in sim.nodes:
         assert node.view.graph.vertices == {node.id}
-        assert node.windows == {}
+        assert node.slots == {}
 
     # the same counters do see a protocol that reads the social layer
     logged_run(relay_config(ttl=80.0, protocol=Protocol.PROPOSED_II))

@@ -16,7 +16,8 @@ from collections.abc import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtnsim.engine import Simulation
+from dtnsim.engine import SimConfig, Simulation
+from dtnsim.routing import Protocol
 from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
 from test_engine import dense_config
@@ -204,8 +205,22 @@ def test_validate_runs_every_pass_and_catches_a_wrong_basis():
 # -- the engine: skipped passes, the validate cross-check, shared payload maps ---------
 
 
+#: 25 nodes in 200 x 200 m with 20 m range: friend graphs form, and views
+#: see both new peers and unchanged inputs, so some passes skip and some run
+SOCIAL = dict(
+    node_count=25,
+    arena_width=200.0,
+    arena_height=200.0,
+    comm_range=20.0,
+    message_count=500,
+    ttl=300.0,
+    protocol=Protocol.PROPOSED_II,
+    seed=1,
+)
+
+
 def social_run(validate, monkeypatch):
-    """One dense proposed2 run: its event log and the full passes per maintain."""
+    """One social proposed2 run: its event log and the full passes per maintain."""
     counts = {"maintain": 0, "pass": 0}
     maintain, full = SocialNetworkView.maintain, SocialNetworkView._pass
 
@@ -220,7 +235,7 @@ def social_run(validate, monkeypatch):
     monkeypatch.setattr(SocialNetworkView, "maintain", counted_maintain)
     monkeypatch.setattr(SocialNetworkView, "_pass", counted_pass)
     log = io.StringIO()
-    Simulation(dense_config(validate=validate), event_log=log).run()
+    Simulation(SimConfig(validate=validate, **SOCIAL), event_log=log).run()
     monkeypatch.undo()
     return log.getvalue(), counts
 
