@@ -48,14 +48,12 @@ one contact window.  Every slot is evaluated in one vectorized pass per
 tick.  Each node keeps its friend slots (weight above the threshold),
 updated only where a slot crosses it, and its hello payload's weight map is
 read from those alone.  Every other reader (routing, a maintain pass that
-runs, the ``validate`` checks) sees a node's ``{peer: weight}`` through a
-read-only view of its slots that copies nothing; nothing is sized n x n.
-The cache shares its arithmetic with
-:meth:`dtnsim.contacts.ContactWindow.link_weight`, so both paths produce
-bit-identical values (the ``validate`` config flag makes the engine assert
-exactly that, maintains every node every hello tick instead of the dirty
-ones, and runs every maintain pass in full, checking that a pass the view
-would have skipped changes nothing; it keeps no log of contact events).
+runs) sees a node's ``{peer: weight}`` through a read-only view of its
+slots that copies nothing; nothing is sized n x n.  The cache shares its
+arithmetic with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both
+paths produce bit-identical values.  Each hello tick maintains only the
+nodes marked dirty: a new peer, a slot crossing the threshold, a changed
+advertisement heard, or a view changed by its last pass.
 """
 
 from __future__ import annotations
@@ -129,7 +127,6 @@ class SimConfig:
     protocol: Protocol = Protocol.EPIDEMIC
     seed: int = 1
     trace_path: str | None = None
-    validate: bool = False
 
     def check(self) -> None:
         """Raise ValueError naming the first bad field."""
@@ -139,8 +136,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer (got {value!r})")
         if not isinstance(self.protocol, Protocol):
             raise ValueError(f"protocol must be a Protocol member (got {self.protocol!r})")
-        if not isinstance(self.validate, bool):
-            raise ValueError(f"validate must be a bool (got {self.validate!r})")
         positive = [
             ("node_count", self.node_count),
             ("arena_width", self.arena_width),
@@ -443,9 +438,9 @@ _NO_WEIGHTS: dict[NodeId, float] = {}
 class _Node:
     __slots__ = ("id", "view", "slots", "friends")
 
-    def __init__(self, node_id: NodeId, validate: bool) -> None:
+    def __init__(self, node_id: NodeId) -> None:
         self.id = node_id
-        self.view = SocialNetworkView(node_id, validate)
+        self.view = SocialNetworkView(node_id)
         #: peer -> weight-cache slot, shared with the peer's entry for this node
         self.slots: dict[NodeId, int] = {}
         #: the entries of ``slots`` whose weight is above the threshold, in
@@ -520,7 +515,7 @@ class Timeline:
             )
         if self.trace.tick_count == 0:
             raise ValueError("trace holds no ticks")
-        self.nodes = [_Node(i, config.validate) for i in range(config.node_count)]
+        self.nodes = [_Node(i) for i in range(config.node_count)]
         self.tracker = ContactTracker(
             self.trace.positions, config.comm_range, config.missed_hello_limit
         )
@@ -687,11 +682,7 @@ class Timeline:
                 if nodes[y].view.apply_hello(payload):
                     dirty[y] = True
 
-        if self.cfg.validate:
-            todo = range(self.cfg.node_count)
-        else:
-            todo = np.flatnonzero(dirty).tolist()
-        for i in todo:
+        for i in np.flatnonzero(dirty).tolist():
             node = nodes[i]
             # slots are never retired, so their count tells a new peer, and
             # node.friends is replaced whenever the friends change
@@ -701,30 +692,6 @@ class Timeline:
                 weights=_SlotWeights(self, node.slots),
                 basis=(len(node.slots), node.friends),
             )
-
-    def _validate_tick(self, now: float) -> None:
-        for i, node in enumerate(self.nodes):
-            weights = _SlotWeights(self, node.slots)
-            for j, slot in node.slots.items():
-                scalar = self._slot_win[slot].link_weight(now)
-                cached = weights[j]
-                if scalar != cached:
-                    raise AssertionError(
-                        f"weight cache drift at t={now} pair ({i},{j}): "
-                        f"{scalar!r} != {cached!r}"
-                    )
-            friends = {j for j, w in weights.items() if w > self.cfg.threshold}
-            if list(node.friends) != [j for j in node.slots if j in friends]:
-                raise AssertionError(
-                    f"friend-slot map of node {i} drifted at t={now}: "
-                    f"{list(node.friends)} vs {sorted(friends)}"
-                )
-            view_friends = node.view.graph.neighbors(node.id)
-            if friends != view_friends:
-                raise AssertionError(
-                    f"threshold consistency broken at t={now} for node {i}: "
-                    f"{sorted(friends)} vs {sorted(view_friends)}"
-                )
 
     # -- main loop -------------------------------------------------------------
 
@@ -749,8 +716,6 @@ class Timeline:
                     self._compute_weights(now)
                     if idx % hello_every == 0:
                         self._hello_and_maintain(pairs, now)
-                        if cfg.validate:
-                            self._validate_tick(now)
             except Exception as exc:
                 # the shared state is now inconsistent for every simulation
                 for sim in self._active:

@@ -42,19 +42,14 @@ class HelloPayload:
 
     sender: NodeId
     neighbor_list: frozenset[NodeId]
-    sender_cb: Fraction | float = 0
-    sender_ceb: Fraction | float = 0
+    #: the sender's self-computed centralities
+    record: PeerRecord = PeerRecord(0, 0)
     #: sender's link weights, restricted to peers above the friend threshold
     link_weights: Mapping[NodeId, float] = field(default_factory=dict)
-    #: ``sender_cb`` and ``sender_ceb`` as one record; built from them when
-    #: not given
-    record: PeerRecord | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.sender in self.neighbor_list:
             raise ValueError("sender must not appear in its own neighbor list")
-        if self.record is None:
-            object.__setattr__(self, "record", PeerRecord(self.sender_cb, self.sender_ceb))
 
 
 class _Pass(NamedTuple):
@@ -72,13 +67,9 @@ class _Pass(NamedTuple):
 
 
 class SocialNetworkView:
-    """A node's locally maintained social network and peer caches.
+    """A node's locally maintained social network and peer caches."""
 
-    With ``validate``, :meth:`maintain` runs its full pass on every call and
-    raises AssertionError where a skipped pass would have differed.
-    """
-
-    def __init__(self, owner: NodeId, validate: bool = False) -> None:
+    def __init__(self, owner: NodeId) -> None:
         self.owner = owner
         self.graph = SocialGraph(vertices=[owner])
         self.peer_centrality: dict[NodeId, PeerRecord] = {}
@@ -90,7 +81,6 @@ class SocialNetworkView:
         # senders whose staged advertisement changed since the last maintain
         self._restaged: set[NodeId] = set()
         self.revision = 0
-        self._validate = validate
         # (stamp, (cb, ceb)) and (stamp, neighbor list, record) as last built
         self._centrality_cache: tuple[tuple, tuple[Fraction, Fraction]] | None = None
         self._hello: tuple[tuple, frozenset[NodeId], PeerRecord] | None = None
@@ -135,9 +125,7 @@ class SocialNetworkView:
             neighbors = frozenset(self.graph._adj[self.owner])
             self._hello = (stamp, neighbors, PeerRecord(cb, ceb))
         _, neighbors, record = self._hello
-        return HelloPayload(
-            self.owner, neighbors, record.cb, record.ceb, dict(link_weights or {}), record
-        )
+        return HelloPayload(self.owner, neighbors, record, dict(link_weights or {}))
 
     # -- centrality ------------------------------------------------------------
 
@@ -211,16 +199,11 @@ class SocialNetworkView:
             and self._restaged.isdisjoint(last.friends)
         )
         self._restaged.clear()
-        if skip and not self._validate:
+        if skip:
             for j in last.evicted:
                 self._advertised.pop(j, None)
             return False
         changed, friends, evicted = self._pass(weights, threshold)
-        if skip and (changed or evicted != last.evicted):
-            raise AssertionError(
-                f"maintain skip of node {self.owner} is not exact: the full pass "
-                f"returned {changed} and evicted {evicted}, not {last.evicted}"
-            )
         if changed:
             self.revision += 1
             self._last_pass = None

@@ -23,6 +23,8 @@ from dtnsim.engine import (
 from dtnsim.mobility import Trace, save_trace
 from dtnsim.routing import Message, Protocol
 
+from checked import CheckedTimeline, checking
+
 
 def still_trace(coords, ticks):
     pos = np.tile(np.asarray(coords, dtype=float)[None, :, :], (ticks, 1, 1))
@@ -56,7 +58,6 @@ def dense_config(**overrides):
         generation_span=60.0,
         seed=2,
         protocol=Protocol.PROPOSED_II,
-        validate=True,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -72,8 +73,6 @@ def test_config_check_names_offending_field():
         SimConfig(node_count=1).check()
     with pytest.raises(ValueError, match="hello_period"):
         SimConfig(hello_period=0.7).check()
-    with pytest.raises(ValueError, match="validate"):
-        SimConfig(validate="no").check()
 
 
 @pytest.mark.parametrize(
@@ -206,6 +205,7 @@ def test_miss_counter_resets_on_reentry():
     assert events[0].time == 3.0
 
 
+@pytest.mark.usefixtures("checked")
 def test_encounter_depart_alternate_per_pair():
     cfg = dense_config()
     sim = Simulation(cfg)
@@ -242,8 +242,9 @@ def test_schedule_is_deterministic_per_seed():
 # -- single-run scenarios ----------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("checked")
 def test_permanent_contact_direct_delivery():
-    cfg = SimConfig(node_count=2, ttl=60, message_count=1, validate=True)
+    cfg = SimConfig(node_count=2, ttl=60, message_count=1)
     trace = still_trace([(0, 0), (2, 0)], 700)
     messages = [Message(id=0, src=0, dst=1, created_at=600.0, ttl=60.0)]
     report = run(cfg, trace=trace, messages=messages)
@@ -253,8 +254,9 @@ def test_permanent_contact_direct_delivery():
     assert report.efficiency_defined
 
 
+@pytest.mark.usefixtures("checked")
 def test_never_in_range_reports_undefined_efficiency():
-    cfg = SimConfig(node_count=2, ttl=60, message_count=1, validate=True)
+    cfg = SimConfig(node_count=2, ttl=60, message_count=1)
     trace = still_trace([(0, 0), (100, 0)], 700)
     messages = [Message(id=0, src=0, dst=1, created_at=600.0, ttl=60.0)]
     report = run(cfg, trace=trace, messages=messages)
@@ -277,8 +279,9 @@ def relay_chain_trace(ticks=60):
     return path_trace(frames)
 
 
+@pytest.mark.usefixtures("checked")
 def test_two_hop_relay_chain_under_epidemic():
-    cfg = SimConfig(node_count=3, ttl=40, message_count=1, validate=True)
+    cfg = SimConfig(node_count=3, ttl=40, message_count=1)
     messages = [Message(id=0, src=0, dst=2, created_at=1.0, ttl=40.0)]
     report = run(cfg, trace=relay_chain_trace(), messages=messages)
     assert report.delivery_ratio == 1.0
@@ -333,7 +336,7 @@ def test_timeline_memory_grows_with_nodes_not_pairs():
 
 
 def test_determinism_bitwise_reports_and_event_logs():
-    cfg = dense_config(validate=False)
+    cfg = dense_config()
     log_a, log_b = io.StringIO(), io.StringIO()
     report_a = run(cfg, event_log=log_a)
     report_b = run(cfg, event_log=log_b)
@@ -342,6 +345,7 @@ def test_determinism_bitwise_reports_and_event_logs():
     assert log_a.getvalue().splitlines()[0] == "time,event,msg_id,from,to"
 
 
+@pytest.mark.usefixtures("checked")
 def test_conservation_delivered_plus_expired_equals_generated():
     cfg = dense_config()
     sim = Simulation(cfg)
@@ -354,7 +358,7 @@ def test_conservation_delivered_plus_expired_equals_generated():
 
 
 def test_event_log_gen_count_matches_messages(tmp_path):
-    cfg = dense_config(validate=False)
+    cfg = dense_config()
     path = tmp_path / "events.csv"
     run(cfg, event_log=str(path))
     lines = path.read_text().splitlines()[1:]
@@ -363,6 +367,7 @@ def test_event_log_gen_count_matches_messages(tmp_path):
     assert set(kinds) <= {"GEN", "FWD", "DLV", "EXP"}
 
 
+@pytest.mark.usefixtures("checked")
 def test_windows_match_ground_truth_contact_events():
     cfg = dense_config()
     sim = Simulation(cfg)
@@ -390,6 +395,7 @@ def test_windows_match_ground_truth_contact_events():
     assert seen == set(rebuilt)
 
 
+@pytest.mark.usefixtures("checked")
 def test_each_contact_pair_has_one_slot_named_by_both_ends():
     sim = Simulation(dense_config())
     sim.run()
@@ -402,22 +408,25 @@ def test_each_contact_pair_has_one_slot_named_by_both_ends():
 
 
 def test_incremental_maintain_equals_full_maintain():
+    # the checked run asserts, at every hello tick, that a full maintain
+    # pass changes no view the engine left clean; and checking changes nothing
     variants = [
-        dense_config(seed=1, validate=False),
-        dense_config(seed=2, validate=False, protocol=Protocol.PROPOSED_I),
-        dense_config(seed=3, validate=False, hello_period=5.0),
-        dense_config(seed=7, validate=False, missed_hello_limit=1),
+        dense_config(seed=1),
+        dense_config(seed=2, protocol=Protocol.PROPOSED_I),
+        dense_config(seed=3, hello_period=5.0),
+        dense_config(seed=7, missed_hello_limit=1),
     ]
     for cfg in variants:
-        fast_log, full_log = io.StringIO(), io.StringIO()
+        fast_log, checked_log = io.StringIO(), io.StringIO()
         fast = run(cfg, event_log=fast_log)
-        full = run(replace(cfg, validate=True), event_log=full_log)
-        assert fast == full
-        assert fast_log.getvalue() == full_log.getvalue()
+        with checking():
+            checked = run(cfg, event_log=checked_log)
+        assert fast == checked
+        assert fast_log.getvalue() == checked_log.getvalue()
 
 
 def shared_workload(ttl=40.0):
-    cfg = dense_config(validate=False)
+    cfg = dense_config()
     trace = default_trace(cfg)
     messages = schedule_messages(cfg)
     return cfg, trace, messages
@@ -475,12 +484,13 @@ def pipeline_messages():
     ]
 
 
+@pytest.mark.usefixtures("checked")
 @pytest.mark.parametrize("protocol", [Protocol.PROPOSED_I, Protocol.PROPOSED_II])
 def test_weight_based_relay_pipeline(protocol):
     # A holds a message for D and meets C, a friend of D: the weight rule fires
     # and, with nothing in A's social network advertising D, upgrades to
     # forward-and-delete.  C later hands the message to D directly.
-    cfg = SimConfig(node_count=4, ttl=500, message_count=2, protocol=protocol, validate=True)
+    cfg = SimConfig(node_count=4, ttl=500, message_count=2, protocol=protocol)
     log = io.StringIO()
     report = run(cfg, trace=social_pipeline_trace(), messages=pipeline_messages(), event_log=log)
     assert report.delivered == 1
@@ -497,9 +507,9 @@ def test_weight_based_relay_pipeline(protocol):
     assert exp0 == [["706.0", "EXP", "0", "2", "-1"]]
 
 
+@pytest.mark.usefixtures("checked")
 def test_relay_pipeline_friendship_copies_without_delete():
-    cfg = SimConfig(node_count=4, ttl=500, message_count=2,
-                    protocol=Protocol.FRIENDSHIP, validate=True)
+    cfg = SimConfig(node_count=4, ttl=500, message_count=2, protocol=Protocol.FRIENDSHIP)
     log = io.StringIO()
     report = run(cfg, trace=social_pipeline_trace(), messages=pipeline_messages(), event_log=log)
     assert report.delivered == 1
@@ -512,9 +522,27 @@ def test_relay_pipeline_friendship_copies_without_delete():
     ]
 
 
+def test_peer_met_between_hellos_is_maintained_at_the_next_hello():
+    # A(0) and B(1) are friends, and so are B and C(2), so A's view holds C
+    # through B's advertisement.  C steps next to A at t=302 only, between
+    # the hellos at 300 and 305: a new peer below the threshold, whose slot
+    # must mark A dirty so that the hello at 305 evicts C from A's view.
+    frames = []
+    for t in range(340):
+        c = (1.0, 1.0) if t == 302 else (4.0, 0.0)
+        frames.append([(0.0, 0.0), (2.0, 0.0), c, (100.0, 100.0)])
+    cfg = SimConfig(node_count=4, ttl=330, message_count=1, hello_period=5.0,
+                    protocol=Protocol.PROPOSED_II)
+    messages = [Message(id=0, src=3, dst=0, created_at=1.0, ttl=330.0)]
+    sim = Simulation(cfg, trace=path_trace(frames), messages=messages)
+    sim.run()
+    assert 2 in sim.nodes[0].slots
+    assert set(sim.nodes[0].view.graph.vertices) == {0, 1}
+
+
+@pytest.mark.usefixtures("checked")
 def test_relay_pipeline_views_dissolve_after_separation():
-    cfg = SimConfig(node_count=4, ttl=500, message_count=2,
-                    protocol=Protocol.PROPOSED_I, validate=True)
+    cfg = SimConfig(node_count=4, ttl=500, message_count=2, protocol=Protocol.PROPOSED_I)
     sim = Simulation(cfg, trace=social_pipeline_trace(), messages=pipeline_messages())
     sim.run()
     # A-B separated at t=301; their tie crosses back under the threshold
@@ -530,12 +558,12 @@ def test_relay_pipeline_views_dissolve_after_separation():
 
 
 def test_replicate_single_run_matches_run():
-    cfg = dense_config(validate=False)
+    cfg = dense_config()
     assert replicate(cfg, 1).runs[0] == run(cfg)
 
 
 def test_replicate_means_and_determinism():
-    cfg = dense_config(validate=False)
+    cfg = dense_config()
     rep = replicate(cfg, 3)
     assert rep == replicate(cfg, 3)
     assert rep.delivery_ratio == pytest.approx(
@@ -561,11 +589,13 @@ def test_incremental_maintain_equals_full_maintain_with_two_hop_views():
         comm_range=12.0, window_size=150.0, message_count=30,
         generation_span=50.0, ttl=80.0, seed=2, protocol=Protocol.PROPOSED_II,
     )
-    fast_log, full_log = io.StringIO(), io.StringIO()
+    fast_log, checked_log = io.StringIO(), io.StringIO()
     fast = Simulation(cfg, event_log=fast_log)
-    full = Simulation(replace(cfg, validate=True), event_log=full_log)
-    assert fast.run() == full.run()
-    assert fast_log.getvalue() == full_log.getvalue()
-    for a, b in zip(fast.nodes, full.nodes):
+    with checking():
+        checked = Simulation(cfg, event_log=checked_log)
+    assert isinstance(checked.timeline, CheckedTimeline)
+    assert fast.run() == checked.run()
+    assert fast_log.getvalue() == checked_log.getvalue()
+    for a, b in zip(fast.nodes, checked.nodes):
         assert a.view.graph == b.view.graph
     assert any(len(node.view.graph.vertices) > 2 for node in fast.nodes)

@@ -10,12 +10,15 @@ end with every message resolved exactly once, never deliver more than it
 generated, and log no forward or delivery of a message after its expiry.
 """
 
+import contextlib
 import io
 
 from hypothesis import given, settings, strategies as st
 
 from dtnsim.engine import SimConfig, Simulation, shared_timeline
 from dtnsim.routing import Protocol, bits
+
+from checked import checking
 
 
 class CheckedSimulation(Simulation):
@@ -81,8 +84,13 @@ def check_log(text, generated):
     assert seen == generated
 
 
+def checked_config(checked, **fields):
+    """A config and whether its cells run on ``CheckedTimeline``."""
+    return SimConfig(**fields), checked
+
+
 configs = st.builds(
-    SimConfig,
+    checked_config,
     node_count=st.integers(2, 8),
     arena_width=st.floats(10.0, 60.0),
     arena_height=st.floats(10.0, 60.0),
@@ -94,18 +102,20 @@ configs = st.builds(
     message_count=st.integers(1, 20),
     generation_span=st.floats(1.0, 30.0),
     seed=st.integers(0, 10**6),
-    validate=st.booleans(),
+    checked=st.booleans(),
 )
 
 
 @settings(max_examples=60)
-@given(base=configs, ttls=st.lists(st.floats(2.0, 40.0), min_size=4, max_size=4))
-def test_bookkeeping_invariants_hold_for_every_protocol(base, ttls):
+@given(drawn=configs, ttls=st.lists(st.floats(2.0, 40.0), min_size=4, max_size=4))
+def test_bookkeeping_invariants_hold_for_every_protocol(drawn, ttls):
+    base, checked = drawn
     cells = [
         SimConfig(**{**vars(base), "protocol": protocol, "ttl": ttl})
         for protocol, ttl in zip(Protocol, ttls)
     ]
-    timeline = shared_timeline(cells)
+    with checking() if checked else contextlib.nullcontext():
+        timeline = shared_timeline(cells)
     logs = [io.StringIO() for _ in cells]
     sims = [
         CheckedSimulation(config, event_log=log, timeline=timeline)

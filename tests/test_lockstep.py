@@ -73,9 +73,9 @@ def independent(configs):
     return reports, [log.getvalue() for log in logs]
 
 
-@pytest.mark.parametrize("validate", [False, True])
-def test_grouped_runs_match_independent_runs(validate):
-    configs = cells(relay_config(validate=validate))
+@pytest.mark.parametrize("checked", [False, True], indirect=True)
+def test_grouped_runs_match_independent_runs(checked):
+    configs = cells(relay_config())
     reports, logs = grouped(configs)
     assert (reports, logs) == independent(configs)
     # the scenario exercises relaying, not only direct delivery
@@ -123,7 +123,7 @@ def test_short_trace_fails_only_the_long_ttl_state(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("seed", 3), ("node_count", 11), ("comm_range", 5.0), ("validate", True)],
+    [("seed", 3), ("node_count", 11), ("comm_range", 5.0)],
 )
 def test_group_rejects_configs_differing_beyond_protocol_and_ttl(field, value):
     base = relay_config()
@@ -236,9 +236,9 @@ def logged_run(config):
     return sim.run(), log.getvalue(), sim
 
 
-@pytest.mark.parametrize("validate", [False, True])
-def test_epidemic_alone_matches_epidemic_grouped_with_proposed2(validate):
-    epidemic = relay_config(validate=validate, ttl=80.0)
+@pytest.mark.parametrize("checked", [False, True], indirect=True)
+def test_epidemic_alone_matches_epidemic_grouped_with_proposed2(checked):
+    epidemic = relay_config(ttl=80.0)
     proposed = replace(epidemic, protocol=Protocol.PROPOSED_II)
     _, (sim, _), (log, _) = attach([epidemic, proposed])
     report = sim.run()

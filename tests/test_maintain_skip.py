@@ -10,6 +10,7 @@ every call) leaves: the same graph (vertex order included), return value,
 revision and staged advertisements.
 """
 
+import contextlib
 import io
 from collections.abc import Mapping
 
@@ -20,6 +21,7 @@ from dtnsim.engine import SimConfig, Simulation
 from dtnsim.routing import Protocol
 from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
+from checked import CheckedView, checking
 from test_engine import dense_config
 from test_maintain_oracle import reference_maintain
 
@@ -189,20 +191,21 @@ def test_skip_never_follows_an_edit_made_outside_maintain():
     assert len(passes) == 4
 
 
-def test_validate_runs_every_pass_and_catches_a_wrong_basis():
-    view = SocialNetworkView(OWNER, validate=True)
+def test_checked_view_skips_as_shipped_and_catches_a_wrong_basis():
+    view = CheckedView(OWNER)
     passes = count_passes(view)
     weights = {1: 0.5, 2: 0.0}
     assert view.maintain(0, threshold=TH, weights=weights, basis="b")
     assert not view.maintain(1, threshold=TH, weights=weights, basis="b")
     assert not view.maintain(2, threshold=TH, weights=weights, basis="b")
-    assert len(passes) == 3  # the skip condition held at t=2; the pass still ran
-    # a caller whose basis stays put although a friend appeared
-    with pytest.raises(AssertionError, match="not exact"):
+    assert len(passes) == 2  # the check ran the reference, not the pass, at t=2
+    # a caller whose basis stays put although a friend appeared: the view
+    # skips, and the reference pass it is checked against adds the friend
+    with pytest.raises(AssertionError, match="returned False; a full pass returns True"):
         view.maintain(3, threshold=TH, weights={1: 0.5, 2: 0.5}, basis="b")
 
 
-# -- the engine: skipped passes, the validate cross-check, shared payload maps ---------
+# -- the engine: skipped passes, the checked run, shared payload maps ---------------
 
 
 #: 25 nodes in 200 x 200 m with 20 m range: friend graphs form, and views
@@ -219,8 +222,9 @@ SOCIAL = dict(
 )
 
 
-def social_run(validate, monkeypatch):
-    """One social proposed2 run: its event log and the full passes per maintain."""
+def social_run(checked, monkeypatch):
+    """One social proposed2 run, on ``CheckedTimeline`` if ``checked``: its
+    event log and the full passes per maintain."""
     counts = {"maintain": 0, "pass": 0}
     maintain, full = SocialNetworkView.maintain, SocialNetworkView._pass
 
@@ -235,17 +239,20 @@ def social_run(validate, monkeypatch):
     monkeypatch.setattr(SocialNetworkView, "maintain", counted_maintain)
     monkeypatch.setattr(SocialNetworkView, "_pass", counted_pass)
     log = io.StringIO()
-    Simulation(SimConfig(validate=validate, **SOCIAL), event_log=log).run()
+    with checking() if checked else contextlib.nullcontext():
+        Simulation(SimConfig(**SOCIAL), event_log=log).run()
     monkeypatch.undo()
     return log.getvalue(), counts
 
 
-def test_engine_skips_passes_and_validate_runs_them_all(monkeypatch):
+def test_engine_skips_passes_and_the_checked_run_skips_the_same(monkeypatch):
+    # the checked run observes the path that ships: every call and every
+    # skip are those of the unchecked run, and each is checked
     fast_log, fast = social_run(False, monkeypatch)
     checked_log, checked = social_run(True, monkeypatch)
     assert fast_log == checked_log and ",FWD," in fast_log
     assert 0 < fast["pass"] < fast["maintain"]
-    assert checked["pass"] == checked["maintain"]
+    assert checked == fast
 
 
 def test_payload_follows_the_revision_and_stored_maps_never_change():
@@ -254,7 +261,6 @@ def test_payload_follows_the_revision_and_stored_maps_never_change():
     view.maintain(0, threshold=TH, weights={1: 1.0, 2: 1.0})
     before = view.make_hello({1: 1.0, 2: 1.0})
     assert before.neighbor_list == {1, 2} and before.record == PeerRecord(1, 3)
-    assert (before.sender_cb, before.sender_ceb) == (1, 3)
     receiver.apply_hello(before)
     stored, record = receiver.peer_weights[OWNER], receiver.peer_centrality[OWNER]
     assert record is before.record
@@ -266,7 +272,7 @@ def test_payload_follows_the_revision_and_stored_maps_never_change():
     view.maintain(1, threshold=TH, weights={1: 1.0, 2: 1.0, 3: 1.0})
     after = view.make_hello({1: 1.0, 2: 1.0, 3: 1.0})
     assert after.neighbor_list == {1, 2, 3}
-    assert (after.sender_cb, after.sender_ceb) == view.my_centrality() == (3, 6)
+    assert view.my_centrality() == (3, 6)
     assert after.record == PeerRecord(3, 6)
     receiver.apply_hello(again)
     receiver.apply_hello(after)
@@ -278,7 +284,7 @@ def test_payload_follows_the_revision_and_stored_maps_never_change():
     view.graph.add_edge(OWNER, 4)
     edited = view.make_hello({})
     assert edited.neighbor_list == {1, 2, 3, 4}
-    assert (edited.sender_cb, edited.sender_ceb) == view.my_centrality() == (5, 9)
+    assert edited.record == PeerRecord(*view.my_centrality()) == PeerRecord(5, 9)
 
 
 def test_engine_payload_maps_stored_at_earlier_ticks_do_not_change(monkeypatch):
@@ -286,12 +292,11 @@ def test_engine_payload_maps_stored_at_earlier_ticks_do_not_change(monkeypatch):
     apply_hello = SocialNetworkView.apply_hello
 
     def recording(view, payload):
-        heard.append((payload.link_weights, dict(payload.link_weights), payload))
+        heard.append((payload.link_weights, dict(payload.link_weights)))
         return apply_hello(view, payload)
 
     monkeypatch.setattr(SocialNetworkView, "apply_hello", recording)
-    Simulation(dense_config(validate=False), event_log=io.StringIO()).run()
-    assert heard and any(copy for _, copy, _ in heard)
-    for shared, copy, payload in heard:
+    Simulation(dense_config(), event_log=io.StringIO()).run()
+    assert heard and any(copy for _, copy in heard)
+    for shared, copy in heard:
         assert shared == copy
-        assert payload.record == PeerRecord(payload.sender_cb, payload.sender_ceb)

@@ -4,7 +4,7 @@ import pytest
 
 from dtnsim.contacts import ContactWindow
 from dtnsim.graph import SocialGraph, betweenness, endpoint_betweenness
-from dtnsim.social import HelloPayload, SocialNetworkView
+from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
 TH = 0.01
 
@@ -32,8 +32,7 @@ def hello(sender, neighbors=(), cb=0, ceb=0, weights=None):
     return HelloPayload(
         sender=sender,
         neighbor_list=frozenset(neighbors),
-        sender_cb=cb,
-        sender_ceb=ceb,
+        record=PeerRecord(cb, ceb),
         link_weights=weights or {},
     )
 
@@ -246,14 +245,14 @@ def test_make_hello_reports_friends_and_centrality():
     view = SocialNetworkView(0)
     empty = view.make_hello()
     assert empty.neighbor_list == frozenset()
-    assert (empty.sender_cb, empty.sender_ceb) == (0, 0)
+    assert empty.record == PeerRecord(0, 0)
     view.maintain(0, threshold=TH, weights={1: 1.0, 2: 1.0, 3: 1.0})
     weights = {1: 1.0, 2: 1.0, 3: 1.0}
     payload = view.make_hello(link_weights=weights)
     weights[4] = 1.0  # the payload holds its own copy
     assert payload.sender == 0
     assert payload.neighbor_list == frozenset({1, 2, 3})
-    assert (payload.sender_cb, payload.sender_ceb) == (3, 6)
+    assert payload.record == PeerRecord(3, 6)
     assert payload.link_weights == {1: 1.0, 2: 1.0, 3: 1.0}
 
 
