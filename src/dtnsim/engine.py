@@ -8,13 +8,16 @@ routing state: message masks (see below), injection, expiry, metrics and
 the event log.  Routing never feeds back into the timeline, so
 the sweep cells that differ only in ``protocol`` and ``ttl`` share one
 timeline and run in lockstep: each tick the timeline advances once, then
-steps every attached simulation that has not finished.  No per-tick state
-is stored.  A Simulation built without a timeline gets one of its own,
-which is the same code path.
+steps every attached simulation that has not finished and has work on the
+tick: in-range pairs to route, an injection or expiry due, or its last
+trace tick.  On any other tick a step would change nothing, so it is
+skipped.  No per-tick state is stored.  A Simulation built without a
+timeline gets one of its own, which is the same code path.
 
 Each tick: advance positions, detect contacts (first-hello encounter,
-missed-hello departure), update contact windows, exchange hellos and
-maintain the per-node social views; then, for each attached simulation,
+missed-hello departure) and update contact windows; where needed (see
+below) compute the link weights, exchange hellos and maintain the per-node
+social views; then, for each attached simulation with work on the tick,
 inject new messages, run the forwarding protocol over every in-range pair
 in ascending pair order, and expire TTLs.  A simulation ends when every
 generated message has been delivered or has no live copy anywhere; it fails
@@ -32,7 +35,8 @@ yields the candidate pairs whose x gap is within range (a conservative
 superset), and only those get the exact squared-distance test.  It runs
 over a block of consecutive ticks of the trace at a time, in a fixed number
 of array operations per block; the encounter/departure state machine
-advances tick by tick and keeps state for open contacts only.
+advances tick by tick and keeps state for open contacts only, so a tick
+with neither pairs nor open contacts costs it nothing.
 
 Routing state is Python-int bitmasks, bit ``r`` standing for the r-th
 message in ascending id order: per node the messages it buffers (``held``)
@@ -44,10 +48,16 @@ move ``held[i] & ~(held[j] | got[j])``.
 Link weights live in one place, a cache with one slot per unordered pair
 that has met: contacts are symmetric, so both ends see the same weight, and
 ``nodes[u].slots[v]`` and ``nodes[v].slots[u]`` name the same slot and its
-one contact window.  Every slot is evaluated in one vectorized pass per
-tick.  Each node keeps its friend slots (weight above the threshold),
-updated only where a slot crosses it, and its hello payload's weight map is
-read from those alone.  Every other reader (routing, a maintain pass that
+one contact window.  One vectorized pass evaluates every slot, on the
+ticks where a weight is read (a tick with pairs, for hellos and routing; a
+hello tick with dirty nodes, for maintain), where a contact event changes a
+slot, and where a slot may cross the threshold.  For the last, a pass on a
+pair-free tick bounds the tick of the next crossing: between contact
+events a slot's gap integral moves by at most W a second.  A hello tick
+with neither pairs nor dirty nodes has nothing to exchange or maintain.
+Each node keeps its friend slots (weight above the threshold), updated
+only where a slot crosses it, and its hello payload's weight map is read
+from those alone.  Every other reader (routing, a maintain pass that
 runs) sees a node's ``{peer: weight}`` through a read-only view of its
 slots that copies nothing; nothing is sized n x n.  The cache shares its
 arithmetic with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both
@@ -283,6 +293,8 @@ class ContactTracker:
             self._detect(tick_index)
             offset = 0
         pairs = self._block[offset]
+        if not pairs and not self.open:
+            return [], pairs
         events: list[ContactEvent] = []
         current = set(pairs)
         departed = []
@@ -387,15 +399,25 @@ def _check_messages(messages: Sequence[Message], node_count: int) -> None:
 
 @dataclass(frozen=True)
 class _Schedule:
-    """A message workload in injection order, in expiry order and by rank
-    (ascending id); ``rank`` maps an id to its rank and ``toward[d]`` masks
-    the ranks of the messages addressed to node ``d``."""
+    """A message workload in injection order and by rank (ascending id);
+    ``rank`` maps an id to its rank and ``toward[d]`` masks the ranks of the
+    messages addressed to node ``d``.
+
+    The lanes are flat lists in injection order (``inject_*``) and in expiry
+    order (``expire_*``).  ``inject_at`` and ``expire_at`` hold the times
+    ``_inject`` and ``_expire`` compare with ``now``, then an ``inf``
+    sentinel; the others hold each message's rank and source.
+    """
 
     messages: list[Message]
-    expiries: list[Message]
     ranked: list[Message]
     rank: dict[int, int]
     toward: list[int]
+    inject_at: list[float]
+    inject_rank: list[int]
+    inject_src: list[int]
+    expire_at: list[float]
+    expire_rank: list[int]
 
     @classmethod
     def of(
@@ -405,7 +427,8 @@ class _Schedule:
         node_count: int,
         like: "_Schedule | None" = None,
     ) -> "_Schedule":
-        """``like``, the same draw at another TTL, lends ``rank`` and ``toward``."""
+        """``like``, the same draw at another TTL, lends what the TTL does not
+        change: ``rank``, ``toward`` and the injection lanes."""
         ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
         ranked = sorted(ordered, key=lambda m: m.id)
         if like is None:
@@ -413,10 +436,24 @@ class _Schedule:
             toward = [0] * node_count
             for r, m in enumerate(ranked):
                 toward[m.dst] |= 1 << r
+            injects = (
+                [m.created_at for m in ordered] + [math.inf],
+                [rank[m.id] for m in ordered],
+                [m.src for m in ordered],
+            )
         else:
             rank, toward = like.rank, like.toward
-        expiries = sorted(ordered, key=lambda m: (m.created_at + m.ttl + tick, m.id))
-        return cls(ordered, expiries, ranked, rank, toward)
+            injects = (like.inject_at, like.inject_rank, like.inject_src)
+        expiries = sorted((m.created_at + m.ttl + tick, m.id) for m in ordered)
+        return cls(
+            ordered,
+            ranked,
+            rank,
+            toward,
+            *injects,
+            [at for at, _ in expiries] + [math.inf],
+            [rank[mid] for _, mid in expiries],
+        )
 
 
 #: weight-cache arrays, indexed by slot: attribute -> (dtype, fill for
@@ -485,8 +522,8 @@ class Timeline:
     ``nodes[i].slots``), and the node views with the hello/maintain pass.
     Simulations attach to it before it starts; each :meth:`Simulation.run`
     then advances it tick by tick, stepping every attached simulation that
-    has not finished, until that simulation's own run ends.  Build one for
-    a group of configs with :func:`shared_timeline`.
+    has not finished and has work on the tick, until that simulation's own
+    run ends.  Build one for a group of configs with :func:`shared_timeline`.
 
     The windows, weights and views are kept only while an unfinished
     simulation's protocol reads them (any protocol but epidemic); from the
@@ -533,9 +570,17 @@ class Timeline:
         #: ``_slot_weight`` as a list, built on first read (None: not yet)
         self._weight_list: list[float] | None = None
         self._next_refresh = float("inf")
+        w, threshold = config.window_size, config.threshold
+        #: a slot is a friend while its gap integral is below this (the
+        #: largest float stands in for threshold 0, or an overflowing W / threshold)
+        self._friend_below = min(w / threshold, MAX_WEIGHT) if threshold > 0 else MAX_WEIGHT
+        #: no slot crosses the threshold on a tick before this, unless a
+        #: contact event changes a slot first (see _compute_weights)
+        self._weigh_by = -math.inf
 
         # index of the next tick to simulate
         self._next_tick = 0
+        self._hello_every = int(round(config.hello_period / config.tick))
         self._active: list[Simulation] = []
         #: whether the social layer runs; set when the timeline starts
         self._social = True
@@ -603,9 +648,13 @@ class Timeline:
         if state.next_refresh < self._next_refresh:
             self._next_refresh = state.next_refresh
 
-    def _compute_weights(self, now: float) -> None:
+    def _compute_weights(self, now: float, bound: bool) -> None:
+        """Every slot's weight at ``now``, marking the slots that cross the
+        threshold; with ``bound``, also the tick the next pass is due by."""
         k = len(self._slot_win)
         if not k:
+            # only an event makes a slot, and an event brings a pass
+            self._weigh_by = math.inf
             return
         w = self.cfg.window_size
         w0 = now - w
@@ -617,6 +666,20 @@ class Timeline:
         np.divide(w, integral, out=weights, where=integral > 0.0)
         self._slot_weight = weights
         self._weight_list = None
+        if bound:
+            # Until a slot's next contact event its gap integral is
+            # continuous in time (a refresh only rewrites its decomposition)
+            # and, as lead and trail stay in [0, W] with slopes -1 and +1
+            # (or 0), moves by at most W a second: it cannot reach
+            # _friend_below sooner than its distance over W.  The slack
+            # covers rounding near the threshold; the tick of margin,
+            # rounding in the time arithmetic.
+            below = self._friend_below
+            gap = float(np.abs(np.minimum(integral, MAX_WEIGHT) - below).min())
+            self._weigh_by = now + (gap - 1e-9 * below) / w - self.cfg.tick
+        else:
+            # unbounded: the next tick's pass is due
+            self._weigh_by = -math.inf
         friends = weights > self.cfg.threshold
         flipped = (friends != self._was_friend[:k]).nonzero()[0]
         if len(flipped):
@@ -701,38 +764,67 @@ class Timeline:
 
     def _run_until(self, target: "Simulation") -> None:
         """Advance in lockstep until ``target`` has finished."""
-        cfg = self.cfg
-        hello_every = int(round(cfg.hello_period / cfg.tick))
         if not self._next_tick:
             self._social = self._reads_social()
         while target._outcome is None:
-            idx = self._next_tick
-            now = idx * cfg.tick
-            try:
-                events, pairs = self.tracker.update(idx, now)
-                if self._social:
-                    self._apply_contact_events(events, now)
-                    self._due_refreshes(now)
-                    self._compute_weights(now)
-                    if idx % hello_every == 0:
-                        self._hello_and_maintain(pairs, now)
-            except Exception as exc:
-                # the shared state is now inconsistent for every simulation
-                for sim in self._active:
-                    sim._finish(exc)
-                self._active = []
-                raise
-            self._next_tick = idx + 1
-            finished = False
+            self._tick(self._next_tick)
+
+    def _tick(self, idx: int) -> None:
+        """Advance tick ``idx``: the shared phases, then every active
+        simulation with work on it."""
+        now = idx * self.cfg.tick
+        try:
+            events, pairs = self.tracker.update(idx, now)
+            if self._social:
+                self._social_phases(idx, now, events, pairs)
+        except Exception as exc:
+            # the shared state is now inconsistent for every simulation
             for sim in self._active:
-                try:
-                    finished |= sim._step(idx, now, pairs)
-                except Exception as exc:
-                    sim._finish(exc)
-                    finished = True
-            if finished:
-                self._active = [sim for sim in self._active if sim._outcome is None]
-                self._social = self._reads_social()
+                sim._finish(exc)
+            self._active = []
+            raise
+        self._next_tick = idx + 1
+        finished = False
+        for sim in self._active:
+            # a simulation's step on any other tick would change nothing: no
+            # pair to route, no injection or expiry due, not its last tick
+            if not (pairs or now >= sim._due or idx + 1 >= sim._end):
+                continue
+            try:
+                finished |= sim._step(idx, now, pairs)
+            except Exception as exc:
+                sim._finish(exc)
+                finished = True
+        if finished:
+            self._active = [sim for sim in self._active if sim._outcome is None]
+            self._social = self._reads_social()
+
+    def _social_phases(
+        self,
+        idx: int,
+        now: float,
+        events: list[ContactEvent],
+        pairs: list[tuple[NodeId, NodeId]],
+    ) -> None:
+        """Windows, weights, hellos and maintain, each only where it can
+        change something or is read.
+
+        The weight pass runs on a tick with pairs (hellos and routing read
+        the weights), a contact event (it changes a slot at once), a dirty
+        node at a hello tick (maintain reads the weights) or a due skip
+        bound (a slot may cross the threshold).  Hellos and maintain run on
+        a hello tick with pairs or dirty nodes; on any other they do nothing.
+        """
+        hello = idx % self._hello_every == 0
+        self._apply_contact_events(events, now)
+        self._due_refreshes(now)
+        dirty = self._dirty
+        if pairs or events or now >= self._weigh_by or (hello and dirty.any()):
+            # a tick with pairs is followed by a pass anyway, so only a
+            # pair-free tick pays for the bound
+            self._compute_weights(now, bound=not pairs)
+        if hello and (pairs or dirty.any()):
+            self._hello_and_maintain(pairs, now)
 
 
 def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
@@ -802,6 +894,8 @@ class Simulation:
         self._unresolved = len(self.messages)
         self._next_inject = 0
         self._next_expiry = 0
+        #: the earliest time an injection or an expiry is due
+        self._due = min(schedule.inject_at[0], schedule.expire_at[0])
         self.now = 0.0
         self._ran = False
         #: the MetricsReport, or the exception the run ended with
@@ -835,14 +929,16 @@ class Simulation:
     # -- routing phases ----------------------------------------------------------
 
     def _inject(self, now: float) -> None:
-        messages = self.messages
-        while self._next_inject < len(messages) and messages[self._next_inject].created_at <= now:
-            m = messages[self._next_inject]
-            rank = self._schedule.rank[m.id]
-            self._holders[rank] = 1 << m.src
-            self.held[m.src] |= 1 << rank
-            self._next_inject += 1
-            self._log(now, "GEN", m.id, m.src, m.dst)
+        schedule, k = self._schedule, self._next_inject
+        while schedule.inject_at[k] <= now:
+            r, src = schedule.inject_rank[k], schedule.inject_src[k]
+            self._holders[r] = 1 << src
+            self.held[src] |= 1 << r
+            if self._log_fh is not None:
+                m = self.messages[k]
+                self._log(now, "GEN", m.id, src, m.dst)
+            k += 1
+        self._next_inject = k
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
         protocol, held, got = self.cfg.protocol, self.held, self.got
@@ -909,28 +1005,33 @@ class Simulation:
                     self._holders[r] &= ~(1 << i)
 
     def _expire(self, now: float) -> None:
-        expiries, tick = self._schedule.expiries, self.cfg.tick
-        while self._next_expiry < len(expiries):
-            m = expiries[self._next_expiry]
-            if m.created_at + m.ttl + tick > now:
-                break
-            self._next_expiry += 1
-            mid, r = m.id, self._schedule.rank[m.id]
+        schedule, k = self._schedule, self._next_expiry
+        while schedule.expire_at[k] <= now:
+            r = schedule.expire_rank[k]
+            mid = schedule.ranked[r].id
             keep = ~(1 << r)
             for holder in bits(self._holders[r]):  # ascending node id
                 self.held[holder] &= keep
-                self._log(now, "EXP", mid, holder, -1)
+                if self._log_fh is not None:
+                    self._log(now, "EXP", mid, holder, -1)
             self._holders[r] = 0
             # resolved: no copy is left, so it can never be delivered now
             if mid not in self.delivered:
                 self._unresolved -= 1
+            k += 1
+        self._next_expiry = k
 
     def _step(self, idx: int, now: float, pairs: list[tuple[NodeId, NodeId]]) -> bool:
         """Route one tick of the timeline; True once this run has ended."""
         self.now = now
         self._inject(now)
-        self._route(pairs, now)
+        if pairs:
+            self._route(pairs, now)
         self._expire(now)
+        schedule = self._schedule
+        self._due = min(
+            schedule.inject_at[self._next_inject], schedule.expire_at[self._next_expiry]
+        )
         if self._unresolved == 0:
             self._finish(self._metrics())
         elif idx + 1 >= self._end:

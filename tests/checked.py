@@ -1,16 +1,17 @@
-"""A test-side observer of the hello/maintain path that ships.
+"""A test-side observer of the timeline path that ships.
 
-``CheckedTimeline`` runs the engine's own ``_hello_and_maintain`` (only the
-dirty nodes are maintained, and a pass that cannot change a view is
-skipped) and changes none of its state; after it, at every hello tick, it
-asserts:
+``CheckedTimeline`` runs the engine's own tick (the weight pass, hellos and
+maintain only on the ticks that need them, and only the dirty nodes
+maintained) and changes none of its state.  It asserts:
 
-- every weight slot equals ``ContactWindow.link_weight`` of its window;
-- every node's friend-slot map holds exactly its slots above the threshold,
-  in slot order;
-- every node left clean is a fixed point: ``reference_maintain``, run on a
-  copy of its view, changes nothing;
-- every view's owner neighbours are its friends.
+- on every tick the social layer runs, skipped or not: every node's
+  friend-slot map holds exactly the slots whose scalar
+  ``ContactWindow.link_weight`` is above the threshold, in slot order;
+- wherever the engine reads the weight cache: every slot equals
+  ``ContactWindow.link_weight`` at that tick;
+- on every hello tick: every node left clean is a fixed point
+  (``reference_maintain``, run on a copy of its view, changes nothing),
+  and every view's owner neighbours are its friends.
 
 Its views are ``CheckedView``s, whose every ``maintain`` call is compared
 with ``reference_maintain`` run on a copy: the return value, the adjacency
@@ -55,28 +56,49 @@ class CheckedView(SocialNetworkView):
 
 
 class CheckedTimeline(Timeline):
-    """A timeline that checks its weights and views at every hello tick."""
+    """A timeline that checks its weights and views on every tick."""
 
     def __init__(self, config, trace=None):
         super().__init__(config, trace)
         for node in self.nodes:
             node.view = CheckedView(node.id)
+        #: the time of the tick being advanced, and the weight list last
+        #: checked against the scalar weights at that time
+        self._now = None
+        self._checked = (None, None)
 
-    def _hello_and_maintain(self, pairs, now):
-        super()._hello_and_maintain(pairs, now)
-        threshold, weight = self.cfg.threshold, self._weights()
-        for i, node in enumerate(self.nodes):
-            for j, slot in node.slots.items():
-                scalar = self._slot_win[slot].link_weight(now)
+    def _scalar_weights(self, now):
+        return [win.link_weight(now) for win in self._slot_win]
+
+    def _weights(self):
+        weight = super()._weights()
+        now, checked = self._checked
+        if now != self._now or checked is not weight:
+            for slot, scalar in enumerate(self._scalar_weights(self._now)):
                 assert weight[slot] == scalar, (
-                    f"weight cache drift at t={now} pair ({i},{j}): "
-                    f"{scalar!r} != {weight[slot]!r}"
+                    f"weight read at t={self._now} from slot {slot} "
+                    f"{tuple(self._row[slot])}: {weight[slot]!r} != {scalar!r}"
                 )
+            self._checked = (self._now, weight)
+        return weight
+
+    def _tick(self, idx):
+        social = self._social
+        self._now = now = idx * self.cfg.tick
+        super()._tick(idx)
+        if social:
+            self._check(now, hello=idx % self._hello_every == 0)
+
+    def _check(self, now, hello):
+        threshold, weight = self.cfg.threshold, self._scalar_weights(now)
+        for i, node in enumerate(self.nodes):
             friends = [(j, s) for j, s in node.slots.items() if weight[s] > threshold]
             assert list(node.friends.items()) == friends, (
                 f"friend-slot map of node {i} drifted at t={now}: "
                 f"{list(node.friends.items())} vs {friends}"
             )
+            if not hello:
+                continue
             if not self._dirty[i]:
                 twin = copy_view(node.view)
                 weights = {j: weight[s] for j, s in node.slots.items()}

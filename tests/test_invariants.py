@@ -1,13 +1,16 @@
 """Property tests for the routing bookkeeping invariants.
 
 Small random configs run all four protocols, each at its own TTL, on one
-shared timeline.  After every tick each simulation's per-message holder masks
-must be the exact transpose of its per-node ``held`` masks, no node may
-buffer a message addressed to itself, each node's ``got`` mask must name
-exactly the messages delivered to it, and the count of unresolved messages
-must equal the messages neither delivered nor expired.  A run must
-end with every message resolved exactly once, never deliver more than it
-generated, and log no forward or delivery of a message after its expiry.
+shared timeline.  A simulation is stepped on exactly the ticks with in-range
+pairs, with an injection or expiry due, and its last tick.  After every
+tick of the timeline, stepped or skipped, each running simulation's
+per-message holder masks must be the exact transpose of its per-node
+``held`` masks, no node may buffer a message addressed to itself, each
+node's ``got`` mask must name exactly the messages delivered to it, and the
+count of unresolved messages must equal the messages neither delivered nor
+expired.  A run must end with every message resolved exactly once, never
+deliver more than it generated, and log no forward or delivery of a message
+after its expiry.
 """
 
 import contextlib
@@ -15,30 +18,67 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
-from dtnsim.engine import SimConfig, Simulation, shared_timeline
+from dtnsim.engine import ContactTracker, SimConfig, Simulation, shared_timeline
 from dtnsim.routing import Protocol, bits
 
 from checked import checking
 
 
 class CheckedSimulation(Simulation):
-    """A simulation that checks its bookkeeping after every tick it routes."""
+    """A simulation that records the ticks it is stepped on and checks its
+    bookkeeping after each."""
 
-    ticks = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = []
 
     def _step(self, idx, now, pairs):
         done = super()._step(idx, now, pairs)
-        self.ticks += 1
-        check_holders(self)
-        assert self._unresolved == len(self.messages) - len(self.delivered) - len(
-            expired_undelivered(self, now)
-        )
+        self.steps.append(idx)
+        check_state(self, now)
         return done
 
 
-def check_holders(sim):
+def check_every_tick(timeline, sims):
+    """After every tick ``timeline`` advances, check each of ``sims`` still
+    running, whether the tick stepped it or not."""
+    advance = timeline._tick
+
+    def tick(idx):
+        advance(idx)
+        for sim in sims:
+            if sim._outcome is None:
+                check_state(sim, idx * timeline.cfg.tick)
+
+    timeline._tick = tick
+
+
+def check_state(sim, now):
+    check_holders(sim, now)
+    assert sim._unresolved == len(sim.messages) - len(sim.delivered) - len(
+        expired_undelivered(sim, now)
+    )
+
+
+def expected_steps(sim, timeline):
+    """The ticks up to ``sim``'s last one that have pairs, an injection or
+    expiry due, or are its last trace tick."""
+    tick, cfg = sim.cfg.tick, sim.cfg
+    tracker = ContactTracker(timeline.trace.positions, cfg.comm_range, cfg.missed_hello_limit)
+    due = [m.created_at for m in sim.messages]
+    due += [m.created_at + m.ttl + tick for m in sim.messages]
+    steps = []
+    for idx in range(int(round(sim.now / tick)) + 1):
+        now, before = idx * tick, (idx - 1) * tick
+        _, pairs = tracker.update(idx, now)
+        if pairs or any(before < t <= now for t in due) or idx + 1 == sim._end:
+            steps.append(idx)
+    return steps
+
+
+def check_holders(sim, now):
     holders = sim.holders
-    injected = {m.id for m in sim.messages if m.created_at <= sim.now}
+    injected = {m.id for m in sim.messages if m.created_at <= now}
     assert set(holders) == injected
     ids = [m.id for m in sim._schedule.ranked]
     assert ids == sorted(m.id for m in sim.messages)
@@ -121,10 +161,11 @@ def test_bookkeeping_invariants_hold_for_every_protocol(drawn, ttls):
         CheckedSimulation(config, event_log=log, timeline=timeline)
         for config, log in zip(cells, logs)
     ]
+    check_every_tick(timeline, sims)
     for sim, log in zip(sims, logs):
         report = sim.run()
         generated = {m.id for m in sim.messages}
-        assert sim.ticks == int(round(sim.now / sim.cfg.tick)) + 1
+        assert sim.steps == expected_steps(sim, timeline)
         assert report.generated == len(generated)
         assert report.delivered == len(sim.delivered) <= report.generated
         assert sim.delivered <= generated
