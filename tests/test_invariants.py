@@ -25,30 +25,27 @@ from checked import checking
 
 
 class CheckedSimulation(Simulation):
-    """A simulation that records the ticks it is stepped on and checks its
-    bookkeeping after each."""
+    """A simulation that records the ticks it is stepped on."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.steps = []
 
     def _step(self, idx, now, pairs):
-        done = super()._step(idx, now, pairs)
         self.steps.append(idx)
-        check_state(self, now)
-        return done
+        return super()._step(idx, now, pairs)
 
 
 def check_every_tick(timeline, sims):
-    """After every tick ``timeline`` advances, check each of ``sims`` still
-    running, whether the tick stepped it or not."""
+    """After every tick ``timeline`` advances, check each of ``sims`` that
+    was running when the tick began, whether the tick stepped it or not."""
     advance = timeline._tick
 
     def tick(idx):
+        running = [sim for sim in sims if sim._outcome is None]
         advance(idx)
-        for sim in sims:
-            if sim._outcome is None:
-                check_state(sim, idx * timeline.cfg.tick)
+        for sim in running:
+            check_state(sim, idx * timeline.cfg.tick)
 
     timeline._tick = tick
 

@@ -15,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.contacts import ContactWindow
@@ -140,12 +141,14 @@ def test_an_exact_crossing_is_caught_on_its_tick():
     assert flips == [10.0, 14.0]
 
 
-def test_a_late_departure_brings_a_pass(checked):
+@pytest.mark.usefixtures("checked")
+def test_a_late_departure_brings_a_pass():
     # Nodes 0 and 1 meet for ticks 0-20, then part.  With 8 missed hellos
     # the departure is seen at t=28, stamped t=21: the gap integral jumps
     # from 0 to 0.5 * 7**2 = 24.5, past W / threshold = 20.  The skip bound
     # from the open contact lets the pass skip every other tick, t=28 among
-    # them; the departure itself must bring the pass that unfriends them.
+    # them; the departure itself must bring the pass that unfriends them,
+    # or the checked timeline finds a stale friend-slot map at t=28.
     ticks = 70
     frames = np.zeros((ticks, 2, 2))
     frames[21:, 1] = (100.0, 0.0)
@@ -187,14 +190,9 @@ class EveryTickSimulation(Simulation):
 def run_cells(cells, timeline, simulation):
     logs = [io.StringIO() for _ in cells]
     sims = [simulation(c, event_log=log, timeline=timeline) for c, log in zip(cells, logs)]
-    outcomes = []
-    for sim, log in zip(sims, logs):
-        try:
-            outcomes.append(sim.run())
-        except Exception as exc:  # a trace that ends first: compare the error
-            outcomes.append(repr(exc))
+    reports = [sim.run() for sim in sims]
     views = [list(node.view.graph._adj.items()) for node in timeline.nodes]
-    return outcomes, [log.getvalue() for log in logs], [s.now for s in sims], views
+    return reports, [log.getvalue() for log in logs], [s.now for s in sims], views
 
 
 configs = st.builds(
