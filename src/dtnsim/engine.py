@@ -820,8 +820,8 @@ class Timeline:
         self._due_refreshes(now)
         dirty = self._dirty
         if pairs or events or now >= self._weigh_by or (hello and dirty.any()):
-            # a tick with pairs is followed by a pass anyway, so only a
-            # pair-free tick pays for the bound
+            # a pass on a tick with pairs leaves the next tick's pass due,
+            # so only a pair-free tick pays for the bound
             self._compute_weights(now, bound=not pairs)
         if hello and (pairs or dirty.any()):
             self._hello_and_maintain(pairs, now)
