@@ -30,11 +30,12 @@ reads none of it, so a timeline whose active simulations are all epidemic
 only detects contacts and routes.  Nothing attaches once a timeline has
 started, so the layer, once off, stays off.
 
-Contact detection never looks at all n^2 pairs: a sort and sweep on x
-yields the candidate pairs whose x gap is within range (a conservative
-superset), and only those get the exact squared-distance test.  It runs
-over a block of consecutive ticks of the trace at a time, in a fixed number
-of array operations per block; the encounter/departure state machine
+Contact detection never looks at all n^2 pairs: a sort on x and a sweep
+over the x neighbours within range yields the candidate pairs whose x gap
+and y gap are both within range (a conservative superset), and only those
+get the exact squared-distance test.  It runs over a block of consecutive
+ticks of the trace at a time, in a fixed number of array operations per
+sweep offset; the encounter/departure state machine
 advances tick by tick and keeps state for open contacts only, so a tick
 with neither pairs nor open contacts costs it nothing.
 
@@ -80,6 +81,7 @@ import numpy as np
 from dtnsim.contacts import MAX_WEIGHT, ContactWindow
 from dtnsim.graph import NodeId
 from dtnsim.mobility import (
+    BLOCK_SAMPLES,
     Arena,
     Trace,
     WaypointParams,
@@ -206,11 +208,6 @@ class ReplicateReport:
     efficiency_defined: bool
 
 
-#: node-samples of trace per contact-detection block: a block spans
-#: ``BLOCK_SAMPLES // node_count`` ticks (at least one)
-BLOCK_SAMPLES = 2**13
-
-
 class ContactTracker:
     """Pairwise encounter/departure state machine over a position trace.
 
@@ -219,12 +216,14 @@ class ContactTracker:
     range, with the departure stamped at the first missed tick.
 
     Only open contacts are stored.  The in-range pairs are found a block of
-    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`): one stable sort
-    of every tick's x coordinates, then a sweep over growing sorted-order
-    offsets that keeps the pairs whose x gap is within range (a conservative
-    superset), and the exact squared-distance test on those candidates only.
-    A block costs O(n log n + candidates) per tick rather than n^2, in a
-    fixed number of array operations per offset instead of per tick.
+    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`): one sort of
+    every tick's nodes by x, then a sweep over growing sorted-order offsets
+    that keeps the pairs whose x gap and y gap are both within range (a
+    conservative superset), and the exact squared-distance test on those
+    candidates only.  The sweep stops at the first offset where no tick has
+    a pair within range on x, and each offset is a fixed number of array
+    operations over the whole block, so a block costs a sort plus that
+    many offsets, not n^2 per tick.
     """
 
     def __init__(
@@ -234,11 +233,12 @@ class ContactTracker:
         self.positions = positions
         self.range_sq = comm_range * comm_range
         self.limit = missed_hello_limit
-        # Sweep reach on x.  A pair passing the exact test in _detect has
-        # fl(dx*dx) <= range_sq, so its true x gap is at most sqrt(range_sq)
-        # times (1 + a few ulps), plus under 1e-161 where dx*dx underflows.
-        # The padding covers both: the sweep may admit extra candidates but
-        # never drops an in-range pair.
+        # Sweep reach on x and y.  A pair passing the exact test in _detect
+        # has fl(dx*dx) <= range_sq and fl(dy*dy) <= range_sq (a sum of two
+        # non-negative terms rounds to no less than either), so each gap is
+        # at most sqrt(range_sq) times (1 + a few ulps), plus under 1e-161
+        # where its square underflows.  The padding covers both: the sweep
+        # may admit extra candidates but never drops an in-range pair.
         self.reach = math.sqrt(self.range_sq) * (1.0 + 1e-9) + 1e-150
         #: ticks per detection block
         self.block_ticks = max(1, BLOCK_SAMPLES // positions.shape[1])
@@ -252,27 +252,34 @@ class ContactTracker:
         """In-range pairs, ascending ``(u, v)`` with ``u < v``, of each tick
         of the block starting at ``start``."""
         block = self.positions[start : start + self.block_ticks]
-        ticks = len(block)
-        xs = block[:, :, 0]
-        order = np.argsort(xs, axis=1, kind="stable")
-        xs = np.take_along_axis(xs, order, axis=1)
+        ticks, n = block.shape[:2]
+        # Ties in x may sort either way: each unordered pair still sits at
+        # exactly one offset, and the pairs are ranked below.
+        order = np.argsort(block[:, :, 0], axis=1)
+        # each tick's positions in x order
+        by_x = np.take(block.reshape(-1, 2), order + np.arange(0, ticks * n, n)[:, None], axis=0)
+        xs, ys = by_x[:, :, 0], by_x[:, :, 1]
         reach = xs + self.reach
-        # Sorted position p pairs with q = p + k when xs[q] <= xs[p] + reach.
-        # Rows are sorted, so once no row has a candidate at offset k none
-        # has one at a larger offset.
+        # Sorted position p pairs with q = p + k when xs[q] <= xs[p] + reach
+        # and |ys[q] - ys[p]| <= reach, the magnitude of the exact test's y
+        # difference.  Rows are sorted on x, so once no row has an x
+        # candidate at offset k none has one at a larger offset.
         none = np.empty(0, dtype=np.intp)
         rows, firsts, seconds = [none], [none], [none]
-        for k in range(1, xs.shape[1]):
-            row, p = np.nonzero(xs[:, k:] <= reach[:, :-k])
-            if not len(row):
+        for k in range(1, n):
+            near = xs[:, k:] <= reach[:, :-k]
+            if not near.any():
                 break
-            a, b = order[row, p], order[row, p + k]
+            near &= np.abs(ys[:, k:] - ys[:, :-k]) <= self.reach
+            # np.nonzero of a 2-d mask costs several times more
+            row, p = np.divmod(np.flatnonzero(near), n - k)
             # squares are exact under negation, so the orientation of d is moot
-            d = block[row, a] - block[row, b]
+            d = by_x[row, p] - by_x[row, p + k]
             hit = (d * d).sum(axis=1) <= self.range_sq
-            rows.append(row[hit])
-            firsts.append(a[hit])
-            seconds.append(b[hit])
+            row, p = row[hit], p[hit]
+            rows.append(row)
+            firsts.append(order[row, p])
+            seconds.append(order[row, p + k])
         row = np.concatenate(rows)
         a = np.concatenate(firsts)
         b = np.concatenate(seconds)
@@ -381,7 +388,10 @@ def _check_joinable(base: SimConfig, config: SimConfig) -> None:
 
 
 def _check_messages(messages: Sequence[Message], node_count: int) -> None:
-    """Raise ValueError naming the first message with a bad field."""
+    """Raise ValueError on an empty workload or naming the first message
+    with a bad field."""
+    if not messages:
+        raise ValueError("the message workload is empty: a run needs at least one message")
     nodes = f"a node id below {node_count}"
     seen: set[int] = set()
     for m in messages:
@@ -613,7 +623,9 @@ class Timeline:
             if self._schedules:
                 # the same draw at another TTL: same ids, endpoints and order
                 like = next(iter(self._schedules.values()))
-                messages = [replace(m, ttl=config.ttl) for m in like.messages]
+                messages = [
+                    Message(m.id, m.src, m.dst, m.created_at, config.ttl) for m in like.messages
+                ]
             else:
                 messages = schedule_messages(config)
             schedule = _Schedule.of(messages, config.tick, config.node_count, like)

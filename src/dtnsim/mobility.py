@@ -5,6 +5,13 @@ determined by the seed; per-node RNG streams are spawned from a single
 ``numpy.random.SeedSequence`` over PCG64, so traces reproduce bit-for-bit
 for a fixed numpy generation scheme.
 
+A node's walk is built as a table of legs and pauses in plain Python, from
+doubles its stream draws in batches (``rng.random``; each is the double one
+``rng.uniform`` call would use).  The samples are then filled in with array
+operations, a group of nodes of about :data:`BLOCK_SAMPLES` samples at a
+time, so the work follows legs plus samples and the temporary arrays stay
+small.
+
 File format: a header line ``nodes=<n> duration=<s> tick=<s>`` followed by
 CSV rows ``t,node,x,y`` (t in tick multiples, coordinates in meters with at
 least three fractional digits).  Saving and loading round-trips exactly.
@@ -13,6 +20,7 @@ least three fractional digits).  Saving and loading round-trips exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -97,59 +105,117 @@ def _sample_times(duration: float, tick: float) -> np.ndarray:
     return np.arange(sample_count(duration, tick)) * tick
 
 
-def _walk(rng: np.random.Generator, params: WaypointParams, times: np.ndarray) -> np.ndarray:
-    """Sample one node's random-waypoint path at the given times."""
-    arena = params.arena
-    out = np.empty((len(times), 2))
-    pos = np.array([rng.uniform(0.0, arena.width), rng.uniform(0.0, arena.height)])
+#: node-samples per block of work: trace generation samples groups of nodes
+#: of about this many samples, and contact detection (``dtnsim.engine``)
+#: takes blocks of ``BLOCK_SAMPLES // node_count`` ticks (at least one)
+BLOCK_SAMPLES = 2**13
+
+#: doubles drawn from a node's stream per ``rng.random`` call
+_DRAW_BATCH = 64
+
+
+def _draws(rng: np.random.Generator) -> Iterator[float]:
+    """The stream's doubles, one per ``rng.uniform`` draw, in batches."""
+    while True:
+        yield from rng.random(_DRAW_BATCH).tolist()
+
+
+def _legs(rng: np.random.Generator, params: WaypointParams, t_last: float, table: list) -> None:
+    """Append one node's walk to ``table``, as segments, until ``t_last``.
+
+    A segment ``(start, travel, from_x, from_y, to_x, to_y, end)`` covers the
+    times after the previous segment's end up to its own.  A leg travels to
+    the next waypoint; a pause is a segment with travel ``inf`` that stays
+    at its waypoint.  ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * u`` of
+    one double ``u``, so the walk draws and computes exactly what per-draw
+    ``uniform`` calls would.  The walk has at least one leg, which covers
+    the sample at time 0, and ends with the first leg (and its pause) that
+    ends at or after ``t_last``.
+    """
+    width, height = params.arena.width, params.arena.height
+    slow, spread, pause = params.speed_min, params.speed_max - params.speed_min, params.pause
+    draw = _draws(rng).__next__
+    x, y = width * draw(), height * draw()
     t = 0.0
-    i = 0
-    n = len(times)
-    while i < n:
-        target = np.array(
-            [rng.uniform(0.0, arena.width), rng.uniform(0.0, arena.height)]
-        )
-        dist = math.hypot(target[0] - pos[0], target[1] - pos[1])
+    while True:
+        to_x, to_y = width * draw(), height * draw()
+        dist = math.hypot(to_x - x, to_y - y)
         while dist == 0.0:
-            target = np.array(
-                [rng.uniform(0.0, arena.width), rng.uniform(0.0, arena.height)]
-            )
-            dist = math.hypot(target[0] - pos[0], target[1] - pos[1])
-        speed = rng.uniform(params.speed_min, params.speed_max)
-        travel = dist / speed
+            to_x, to_y = width * draw(), height * draw()
+            dist = math.hypot(to_x - x, to_y - y)
+        travel = dist / (slow + spread * draw())
         arrive = t + travel
-        stop = int(np.searchsorted(times, arrive, side="right"))
-        if stop > i:
-            # convex blend: exact endpoints at f = 0 and f = 1
-            f = ((times[i:stop] - t) / travel)[:, None]
-            out[i:stop] = pos * (1.0 - f) + target * f
-            i = stop
-        pos = target
-        t = arrive
-        if params.pause > 0:
-            until = t + params.pause
-            stop = int(np.searchsorted(times, until, side="right"))
-            if stop > i:
-                out[i:stop] = pos
-                i = stop
+        table.append((t, travel, x, y, to_x, to_y, arrive))
+        x, y, t = to_x, to_y, arrive
+        if pause > 0:
+            until = t + pause
+            table.append((t, math.inf, x, y, x, y, until))
             t = until
-    return out
+        if t >= t_last:
+            return
+
+
+def _sample_walks(
+    rngs: Sequence[np.random.Generator], params: WaypointParams, times: np.ndarray
+) -> np.ndarray:
+    """``positions[tick, node]`` of one random-waypoint walk per stream of ``rngs``.
+
+    Each sample lies on the segment that covers its time, at
+    ``from * (1 - f) + to * f`` with ``f = (t - start) / travel``: exact
+    endpoints at f = 0 and f = 1, and a pause's waypoint at f = 0.  Nodes are
+    sampled in groups of about :data:`BLOCK_SAMPLES` samples, so the
+    per-sample arrays stay small however long the trace.
+    """
+    ticks = len(times)
+    t_last = float(times[-1])
+    positions = np.empty((ticks, len(rngs), 2))
+    group = max(1, BLOCK_SAMPLES // ticks)
+    for first in range(0, len(rngs), group):
+        table: list = []
+        heads = []
+        for rng in rngs[first : first + group]:
+            heads.append(len(table))
+            _legs(rng, params, t_last, table)
+        start, travel, from_x, from_y, to_x, to_y, end = np.array(table).T
+        # a segment covers the samples up to its end that no earlier one
+        # covers; a node's last segment covers the trace's last sample
+        cover = np.diff(np.searchsorted(times, end, side="right"), prepend=0)
+        cover[heads[1:]] += ticks
+        shape = (len(heads), ticks)
+        f = times - start.repeat(cover).reshape(shape)
+        f /= travel.repeat(cover).reshape(shape)
+        g = 1.0 - f
+        out = positions[:, first : first + len(heads)].transpose(1, 0, 2)
+        for axis, ends in enumerate(((from_x, to_x), (from_y, to_y))):
+            a = ends[0].repeat(cover).reshape(shape)
+            a *= g
+            b = ends[1].repeat(cover).reshape(shape)
+            b *= f
+            np.add(a, b, out=out[:, :, axis])
+    return positions
 
 
 def generate_trace(
     params: WaypointParams, node_count: int, duration: float, tick: float
 ) -> Trace:
-    """Deterministic random-waypoint trace for ``node_count`` nodes."""
+    """Deterministic random-waypoint trace for ``node_count`` nodes.
+
+    Each node walks on its own PCG64 stream, spawned from
+    ``SeedSequence(params.seed)``: its start and each next waypoint are
+    uniform in the arena, each leg's speed uniform in [speed_min,
+    speed_max], and each arrival is followed by ``pause`` seconds at the
+    waypoint.  The walk becomes a leg table (see :func:`_legs`), and the
+    samples are filled in a group of nodes at a time (see
+    :func:`_sample_walks`).  A node's path depends on neither the node
+    count nor the duration, so a shorter trace is a prefix of a longer one.
+    """
     if node_count < 0:
         raise ValueError("node_count must be non-negative")
     if duration <= 0 or tick <= 0:
         raise ValueError("duration and tick must be positive")
-    times = _sample_times(duration, tick)
-    positions = np.empty((len(times), node_count, 2))
     streams = np.random.SeedSequence(params.seed).spawn(node_count)
-    for node, stream in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(stream))
-        positions[:, node, :] = _walk(rng, params, times)
+    rngs = [np.random.Generator(np.random.PCG64(stream)) for stream in streams]
+    positions = _sample_walks(rngs, params, _sample_times(duration, tick))
     return Trace(node_count=node_count, duration=float(duration), tick=float(tick), positions=positions)
 
 

@@ -65,7 +65,7 @@ def nudge(value, steps):
 
 
 @st.composite
-def frame(draw, n, r, shift):
+def frame(draw, n, r, shift, y_shift):
     """n points built to sit on, just inside and just outside range edges."""
     points = []
     for _ in range(n):
@@ -76,10 +76,10 @@ def frame(draw, n, r, shift):
             x, y = bx + ux * r, by + uy * r
         elif kind == "free":
             x = shift + draw(st.floats(-3.0, 3.0)) * r
-            y = draw(st.floats(-3.0, 3.0)) * r
+            y = y_shift + draw(st.floats(-3.0, 3.0)) * r
         else:
             x = shift + draw(st.integers(-3, 3)) * r
-            y = draw(st.integers(-3, 3)) * r
+            y = y_shift + draw(st.integers(-3, 3)) * r
         x = nudge(x, draw(st.integers(-2, 2)))
         y = nudge(y, draw(st.integers(-1, 1)))
         points.append((x, y))
@@ -89,10 +89,10 @@ def frame(draw, n, r, shift):
 @st.composite
 def scenario(draw):
     r = draw(st.sampled_from(RANGES))
-    shift = draw(st.sampled_from(SHIFTS))
+    shift, y_shift = draw(st.sampled_from(SHIFTS)), draw(st.sampled_from(SHIFTS))
     n = draw(st.integers(2, 9))
     limit = draw(st.integers(1, 4))
-    pool = draw(st.lists(frame(n, r, shift), min_size=1, max_size=4))
+    pool = draw(st.lists(frame(n, r, shift, y_shift), min_size=1, max_size=4))
     # replaying a few frames in a drawn order makes pairs leave and rejoin
     order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=14))
     return r, limit, [np.array(pool[i]) for i in order]
@@ -123,19 +123,19 @@ def test_sweep_tracker_matches_dense_reference(case):
         assert sparse.update(idx, now) == dense.update(coords, now), f"tick {idx}"
 
 
-def apart(n, r, shift):
+def apart(n, r, shift, y_shift):
     """n points on one x, 3r apart in y: no pair in range, every x tied."""
-    return [(shift, 3.0 * k * r) for k in range(n)]
+    return [(shift, y_shift + 3.0 * k * r) for k in range(n)]
 
 
 @st.composite
 def block_scenario(draw):
     r = draw(st.sampled_from(RANGES))
-    shift = draw(st.sampled_from(SHIFTS))
+    shift, y_shift = draw(st.sampled_from(SHIFTS)), draw(st.sampled_from(SHIFTS))
     n = draw(st.integers(2, 9))
     limit = draw(st.integers(1, 4))
-    pool = draw(st.lists(frame(n, r, shift), min_size=1, max_size=4))
-    pool.append(apart(n, r, shift))
+    pool = draw(st.lists(frame(n, r, shift, y_shift), min_size=1, max_size=4))
+    pool.append(apart(n, r, shift, y_shift))
     order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=30))
     block = draw(st.integers(2, len(order)))
     return r, limit, [np.array(pool[i]) for i in order], block
@@ -217,3 +217,53 @@ def test_pairs_whose_x_gap_exceeds_the_rounded_range_are_kept():
         events, pairs = ContactTracker(coords[None], r, 3).update(0, 0.0)
         assert pairs == [(0, 1)]
         assert (events, pairs) == DenseTracker(2, r, 3).update(coords, 0.0)
+
+
+def test_pairs_whose_y_gap_exceeds_the_rounded_range_are_kept():
+    # the y twin: fl(dy*dy) <= fl(r*r) although y1 > fl(y0 + sqrt(fl(r*r))),
+    # with every x tied so that only the y prune can drop the pair; both
+    # node orders, since tied x may sort either way.  In the last case r*r
+    # underflows, so even |dy| exceeds sqrt(fl(r*r)).
+    for r, y0, y1 in [
+        (7.3, -9.13688896803194, -1.8368889680319398),
+        (0.7, -0.4183224088383213, 0.28167759116167873),
+        (1e-160, 0.0, 1e-160),
+    ]:
+        assert y1 > y0 + np.sqrt(r * r)
+        for x in (0.0, 1e6):
+            for coords in ([[x, y0], [x, y1]], [[x, y1], [x, y0]]):
+                coords = np.array(coords)
+                events, pairs = ContactTracker(coords[None], r, 3).update(0, 0.0)
+                assert pairs == [(0, 1)]
+                assert (events, pairs) == DenseTracker(2, r, 3).update(coords, 0.0)
+
+
+@st.composite
+def tied_scenario(draw):
+    """Frames whose nodes all share one x: every pair is an x candidate at
+    every sorted-order offset, and the y gap alone decides."""
+    r = draw(st.sampled_from(RANGES))
+    x, y_shift = draw(st.sampled_from(SHIFTS)), draw(st.sampled_from(SHIFTS))
+    n = draw(st.integers(2, 12))
+    limit = draw(st.integers(1, 4))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        ys = []
+        for _ in range(n):
+            if ys and draw(st.booleans()):
+                y = draw(st.sampled_from(ys)) + draw(st.sampled_from([-r, r, 0.0]))
+            else:
+                y = y_shift + draw(st.integers(-4, 4)) * r
+            ys.append(nudge(y, draw(st.integers(-1, 1))))
+        pool.append([(x, y) for y in ys])
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    block = draw(st.integers(1, len(order)))
+    return r, limit, [np.array(pool[i]) for i in order], block
+
+
+@given(tied_scenario())
+def test_every_x_tied_matches_dense_reference(case):
+    r, limit, frames, block = case
+    expected = dense_replay(frames, r, limit)
+    for ticks in (1, block, None):
+        assert replay(frames, r, limit, ticks) == expected, f"{ticks} ticks per block"

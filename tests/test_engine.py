@@ -319,6 +319,14 @@ def test_malformed_messages_are_rejected(messages, field):
         Simulation(cfg, trace=trace, messages=messages)
 
 
+def test_an_empty_workload_is_rejected():
+    # before any run: its metrics would divide by the zero messages generated
+    cfg = SimConfig(node_count=5)
+    trace = still_trace([(2.0 * k, 0.0) for k in range(5)], 20)
+    with pytest.raises(ValueError, match="message workload is empty"):
+        Simulation(cfg, trace=trace, messages=[])
+
+
 def test_timeline_memory_grows_with_nodes_not_pairs():
     # one 2,000 x 2,000 float matrix alone would be 32 MB
     n = 2000
