@@ -8,21 +8,29 @@ routing state: message masks (see below), injection, expiry, metrics and
 the event log.  Routing never feeds back into the timeline, so
 the sweep cells that differ only in ``protocol`` and ``ttl`` share one
 timeline and run in lockstep: each tick the timeline advances once, then
-steps every attached simulation that has not finished and has work on the
-tick: in-range pairs to route, an injection or expiry due, or its last
-trace tick.  On any other tick a step would change nothing, so it is
-skipped.  No per-tick state is stored.  A Simulation built without a
-timeline gets one of its own, which is the same code path.
+steps every attached simulation that has not finished and routes or may end
+on the tick: a tick with in-range pairs, its settle tick (the first at or
+after the expiry time of its last message not delivered, where it resolves
+its last message unless a delivery did first) or its last trace tick.  A
+step first catches up the ticks skipped since the last one: it injects
+every message due by now and expires every message due by the previous
+tick.  Nothing reads the masks between steps and a message expires on a
+later tick than it is injected, so each step routes on the masks that a
+run stepped on every tick would route on, and each run ends on the same
+tick; a logged step writes the skipped ticks' GEN and EXP lines with their
+own ticks' times.
+No per-tick state is stored.  A Simulation built without a timeline gets
+one of its own, which is the same code path.
 
 Each tick: advance positions, detect contacts (first-hello encounter,
 missed-hello departure) and update contact windows; where needed (see
 below) compute the link weights, exchange hellos and maintain the per-node
-social views; then, for each attached simulation with work on the tick,
-inject new messages, run the forwarding protocol over every in-range pair
-in ascending pair order, and expire TTLs.  A simulation ends when every
-generated message has been delivered or has no live copy anywhere; it fails
-when its own trace (for a generated trace, the length its TTL needs) ends
-first.
+social views; then, for each attached simulation that steps on the tick,
+catch up and inject new messages, run the forwarding protocol over every
+in-range pair in ascending pair order, and expire TTLs.  A simulation ends
+when every generated message has been delivered or has no live copy
+anywhere; it fails when its own trace (for a generated trace, the length
+its TTL needs) ends first.
 
 The social layer (contact windows, weight cache, hello/maintain) runs only
 while an unfinished attached simulation's protocol reads it.  Epidemic
@@ -43,8 +51,10 @@ Routing state is Python-int bitmasks, bit ``r`` standing for the r-th
 message in ascending id order: per node the messages it buffers (``held``)
 and those delivered to it (``got``), per destination those addressed to it
 (``toward``, built once per drawn workload), and per message the nodes
-holding it (the transpose of ``held``).  A contact of ``i`` with ``j`` may
-move ``held[i] & ~(held[j] | got[j])``.
+holding it (the transpose of ``held``, which tells an expiry batch the
+nodes to clear and the EXP lines to log).  A contact of ``i`` with ``j``
+may move ``held[i] & ~(held[j] | got[j])``.  Expiries due together clear
+one mask of their ranks from the union of their holders.
 
 Link weights live in one place, a cache with one slot per unordered pair
 that has met: contacts are symmetric, so both ends see the same weight, and
@@ -72,6 +82,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from typing import IO, Iterator, Sequence
@@ -414,9 +425,11 @@ class _Schedule:
     messages addressed to node ``d``.
 
     The lanes are flat lists in injection order (``inject_*``) and in expiry
-    order (``expire_*``).  ``inject_at`` and ``expire_at`` hold the times
-    ``_inject`` and ``_expire`` compare with ``now``, then an ``inf``
-    sentinel; the others hold each message's rank and source.
+    order (``expire_*``).  ``inject_at`` and ``expire_at`` hold ascending
+    times, then an ``inf`` sentinel: an entry is due on the first tick
+    index ``i >= 0`` with ``at <= i * tick`` (see :func:`_first_tick`), so
+    a step bisects a lane for the entries due by a tick.  The other lanes
+    hold each message's rank and source.
     """
 
     messages: list[Message]
@@ -532,8 +545,9 @@ class Timeline:
     ``nodes[i].slots``), and the node views with the hello/maintain pass.
     Simulations attach to it before it starts; each :meth:`Simulation.run`
     then advances it tick by tick, stepping every attached simulation that
-    has not finished and has work on the tick, until that simulation's own
-    run ends.  Build one for a group of configs with :func:`shared_timeline`.
+    has not finished on the ticks with pairs, its settle tick and its last
+    tick, until that simulation's own run ends.  Build one for a group of
+    configs with :func:`shared_timeline`.
 
     The windows, weights and views are kept only while an unfinished
     simulation's protocol reads them (any protocol but epidemic); from the
@@ -798,9 +812,10 @@ class Timeline:
         self._next_tick = idx + 1
         finished = False
         for sim in self._active:
-            # a simulation's step on any other tick would change nothing: no
-            # pair to route, no injection or expiry due, not its last tick
-            if not (pairs or now >= sim._due or idx + 1 >= sim._end):
+            # a simulation steps only where it routes or may end: a tick with
+            # pairs, its settle tick or its last tick; the step catches up
+            # the injections and expiries of the ticks it skipped
+            if not (pairs or now >= sim._settle or idx + 1 >= sim._end):
                 continue
             try:
                 finished |= sim._step(idx, now, pairs)
@@ -839,6 +854,17 @@ class Timeline:
             self._hello_and_maintain(pairs, now)
 
 
+def _first_tick(at: float, tick: float) -> int:
+    """The first tick index ``i >= 0`` with ``at <= i * tick``, found by that
+    comparison itself: ``at / tick`` rounded up only starts the search."""
+    i = math.ceil(at / tick) if at > 0 else 0
+    while i * tick < at:
+        i += 1
+    while i and (i - 1) * tick >= at:
+        i -= 1
+    return i
+
+
 def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
     """One timeline for simulations of ``configs``, which may differ only in
     ``protocol`` and ``ttl``; a generated trace covers the longest TTL."""
@@ -853,7 +879,10 @@ class Simulation:
     """One seeded run.  Build it, call :meth:`run` once.
 
     ``held[i]`` and ``got[i]`` mask the messages node ``i`` buffers and has
-    had delivered (see the module docstring).
+    had delivered (see the module docstring).  A simulation steps only on
+    some ticks and catches up the rest on its next step, so mid-run
+    ``held``, ``got``, :attr:`holders` and ``now`` show its last step; after
+    :meth:`run` they are what they would be had it stepped on every tick.
     Without ``timeline`` the simulation gets a timeline of its own; with one
     (see :func:`shared_timeline`) it joins that timeline's lockstep pass, and
     ``trace`` must be left out.  ``nodes`` (views and weight slots) belong
@@ -901,13 +930,18 @@ class Simulation:
         self.held = [0] * n
         self.got = [0] * n
         self.delivered: set[int] = set()
+        #: ``delivered`` as a mask of ranks
+        self._delivered = 0
         self._holders = [0] * len(self.messages)
         self.total_forwards = 0
         self._unresolved = len(self.messages)
         self._next_inject = 0
         self._next_expiry = 0
-        #: the earliest time an injection or an expiry is due
-        self._due = min(schedule.inject_at[0], schedule.expire_at[0])
+        #: the expiry-lane index of the last message not delivered
+        self._last_live = len(self.messages) - 1
+        #: its expiry time: unless deliveries resolve every message first,
+        #: the run resolves its last one on the first tick at or after this
+        self._settle = schedule.expire_at[self._last_live]
         self.now = 0.0
         self._ran = False
         #: the MetricsReport, or the exception the run ended with
@@ -926,7 +960,8 @@ class Simulation:
 
     @property
     def holders(self) -> dict[int, set[NodeId]]:
-        """Message id -> nodes buffering a copy, for every message injected."""
+        """Message id -> nodes buffering a copy, for every message injected,
+        as of the last step (see the class docstring)."""
         return {
             m.id: set(bits(self._holders[self._schedule.rank[m.id]]))
             for m in self.messages[: self._next_inject]
@@ -941,16 +976,16 @@ class Simulation:
     # -- routing phases ----------------------------------------------------------
 
     def _inject(self, now: float) -> None:
+        """Inject every message due by ``now``."""
         schedule, k = self._schedule, self._next_inject
-        while schedule.inject_at[k] <= now:
-            r, src = schedule.inject_rank[k], schedule.inject_src[k]
-            self._holders[r] = 1 << src
-            self.held[src] |= 1 << r
-            if self._log_fh is not None:
-                m = self.messages[k]
-                self._log(now, "GEN", m.id, src, m.dst)
-            k += 1
-        self._next_inject = k
+        if schedule.inject_at[k] > now:
+            return
+        end = bisect_right(schedule.inject_at, now, k)
+        held, holders = self.held, self._holders
+        for r, src in zip(schedule.inject_rank[k:end], schedule.inject_src[k:end]):
+            holders[r] = 1 << src
+            held[src] |= 1 << r
+        self._next_inject = end
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
         protocol, held, got = self.cfg.protocol, self.held, self.got
@@ -1005,6 +1040,7 @@ class Simulation:
                 # once only: no later contact's missing mask has it (got)
                 self.got[j] |= 1 << r
                 self.delivered.add(mid)
+                self._delivered |= 1 << r
                 # resolved: a delivered message is never counted at expiry
                 self._unresolved -= 1
             else:
@@ -1016,34 +1052,89 @@ class Simulation:
                     held[i] &= ~(1 << r)
                     self._holders[r] &= ~(1 << i)
 
-    def _expire(self, now: float) -> None:
+    def _expire(self, by: float) -> None:
+        """Expire every message due by ``by`` in one batch: clear their ranks
+        from every node that holds one."""
         schedule, k = self._schedule, self._next_expiry
-        while schedule.expire_at[k] <= now:
-            r = schedule.expire_rank[k]
-            mid = schedule.ranked[r].id
-            keep = ~(1 << r)
-            for holder in bits(self._holders[r]):  # ascending node id
-                self.held[holder] &= keep
-                if self._log_fh is not None:
-                    self._log(now, "EXP", mid, holder, -1)
-            self._holders[r] = 0
-            # resolved: no copy is left, so it can never be delivered now
-            if mid not in self.delivered:
-                self._unresolved -= 1
-            k += 1
-        self._next_expiry = k
+        if schedule.expire_at[k] > by:
+            return
+        end = bisect_right(schedule.expire_at, by, k)
+        holders, gone, spread = self._holders, 0, 0
+        for r in schedule.expire_rank[k:end]:
+            gone |= 1 << r
+            spread |= holders[r]
+            holders[r] = 0
+        held, keep = self.held, ~gone
+        for i in bits(spread):
+            held[i] &= keep
+        # resolved: no copy is left, so it can never be delivered now
+        self._unresolved -= (gone & ~self._delivered).bit_count()
+        self._next_expiry = end
+
+    def _log_lanes(self, gen: int, by: float) -> None:
+        """Log the GEN lines of injection-lane entries ``gen`` up to
+        ``_next_inject`` and the EXP lines of the expiries due by ``by``,
+        each at its own tick, in tick order and GEN first within a tick: the
+        lines the ticks of these entries wrote when stepped.
+
+        Runs between the injections and the expiries it logs, so each EXP
+        line reads the holders the message had when it expired."""
+        schedule, stop, exp = self._schedule, self._next_inject, self._next_expiry
+        inject_at, expire_at = schedule.inject_at, schedule.expire_at
+        if gen == stop and expire_at[exp] > by:
+            return
+        tick, end = self.cfg.tick, bisect_right(expire_at, by, exp)
+        # merge the two lanes by tick, GEN first on a tie
+        gen_tick = _first_tick(inject_at[gen], tick) if gen < stop else math.inf
+        exp_tick = _first_tick(expire_at[exp], tick) if exp < end else math.inf
+        while gen < stop or exp < end:
+            if gen_tick <= exp_tick:
+                m = self.messages[gen]
+                self._log(gen_tick * tick, "GEN", m.id, m.src, m.dst)
+                gen += 1
+                gen_tick = _first_tick(inject_at[gen], tick) if gen < stop else math.inf
+            else:
+                r = schedule.expire_rank[exp]
+                mid = schedule.ranked[r].id
+                for holder in bits(self._holders[r]):  # ascending node id
+                    self._log(exp_tick * tick, "EXP", mid, holder, -1)
+                exp += 1
+                exp_tick = _first_tick(expire_at[exp], tick) if exp < end else math.inf
 
     def _step(self, idx: int, now: float, pairs: list[tuple[NodeId, NodeId]]) -> bool:
-        """Route one tick of the timeline; True once this run has ended."""
+        """Route one tick of the timeline; True once this run has ended.
+
+        First the step catches up what the ticks skipped since the last one
+        would have done: every injection due by ``now`` and every expiry due
+        by the previous tick (``(idx - 1) * tick``, the expression that tick
+        compared with).  Nothing reads the masks between steps, and a
+        message expires on a later tick than it is injected, so the masks
+        routed on equal those of a run stepped on every tick.  Then it
+        routes, expires what is due at ``now`` and checks for the end.
+        """
         self.now = now
+        logged, gen = self._log_fh is not None, self._next_inject
+        # tick 0 has no tick before it
+        before = (idx - 1) * self.cfg.tick if idx else -math.inf
         self._inject(now)
+        if logged:
+            self._log_lanes(gen, before)
+        self._expire(before)
         if pairs:
+            delivered = len(self.delivered)
             self._route(pairs, now)
+            if len(self.delivered) != delivered:
+                # the last message not delivered may now expire earlier; with
+                # none left (j == -1) every message is delivered, and this
+                # step ends the run
+                schedule, j = self._schedule, self._last_live
+                while j >= 0 and self._delivered >> schedule.expire_rank[j] & 1:
+                    j -= 1
+                self._last_live = j
+                self._settle = schedule.expire_at[j]
+        if logged:
+            self._log_lanes(self._next_inject, now)
         self._expire(now)
-        schedule = self._schedule
-        self._due = min(
-            schedule.inject_at[self._next_inject], schedule.expire_at[self._next_expiry]
-        )
         if self._unresolved == 0:
             self._finish(self._metrics())
         elif idx + 1 >= self._end:

@@ -2,14 +2,18 @@
 
 A timeline runs its weight pass only on a tick with pairs, a contact event,
 a due refresh, a dirty node at a hello tick, or a due skip bound; a
-simulation is stepped only on a tick with pairs, a due injection or expiry,
-or its last tick.  The bound (``Timeline._weigh_by``) must never fall after
-the first tick at which a slot's ``link_weight > threshold`` changes,
-evaluated from scratch tick by tick, across the slot's refreshes.  And whole runs
-that skip must match runs that pass and step on every tick, byte for byte.
+simulation is stepped only on a tick with pairs, its settle tick (where its
+last message not delivered expires) or its last tick, and each step catches
+up the injections and expiries of the ticks it skipped.  The bound
+(``Timeline._weigh_by``) must never fall after the first tick at which a
+slot's ``link_weight > threshold`` changes, evaluated from scratch tick by
+tick, across the slot's refreshes.  And whole runs that skip must match
+runs that pass and step on every tick, byte for byte, with or without an
+event log, and an event log of a sparse sweep must keep its recorded bytes.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -18,8 +22,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dtnsim.cli import parse_config, run_experiment
 from dtnsim.contacts import ContactWindow
-from dtnsim.engine import SimConfig, Simulation, Timeline, shared_timeline, trace_duration
+from dtnsim.engine import (
+    ContactTracker,
+    SimConfig,
+    Simulation,
+    Timeline,
+    _first_tick,
+    shared_timeline,
+    trace_duration,
+)
 from dtnsim.mobility import Trace
 from dtnsim.routing import Message, Protocol
 
@@ -175,24 +188,27 @@ class EveryTickTimeline(Timeline):
 
 
 class EveryTickSimulation(Simulation):
-    """A simulation stepped on every tick until it ends."""
+    """A simulation stepped on every tick until it ends, so that no step has
+    a skipped tick to catch up."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._due = -math.inf
+        self._settle = -math.inf
 
     def _step(self, idx, now, pairs):
         done = super()._step(idx, now, pairs)
-        self._due = -math.inf
+        self._settle = -math.inf
         return done
 
 
-def run_cells(cells, timeline, simulation):
-    logs = [io.StringIO() for _ in cells]
+def run_cells(cells, timeline, simulation, logged):
+    logs = [io.StringIO() if logged else None for _ in cells]
     sims = [simulation(c, event_log=log, timeline=timeline) for c, log in zip(cells, logs)]
     reports = [sim.run() for sim in sims]
     views = [list(node.view.graph._adj.items()) for node in timeline.nodes]
-    return reports, [log.getvalue() for log in logs], [s.now for s in sims], views
+    texts = [log.getvalue() if logged else None for log in logs]
+    masks = [(s.held, s.got, s.holders) for s in sims]
+    return reports, texts, [s.now for s in sims], views, masks
 
 
 configs = st.builds(
@@ -207,21 +223,79 @@ configs = st.builds(
     message_count=st.integers(1, 20),
     generation_span=st.floats(1.0, 30.0),
     hello_period=st.sampled_from([1.0, 2.0]),
+    # 0.1 is not a binary fraction: i * tick rounds, so entry times fall
+    # just before or after their ticks
+    tick=st.sampled_from([1.0, 0.1]),
     seed=st.integers(0, 10**6),
 )
 
 
 @settings(max_examples=40)
-@given(base=configs, ttls=st.lists(st.floats(2.0, 40.0), min_size=4, max_size=4), checked=st.booleans())
-def test_skipping_matches_passing_and_stepping_every_tick(base, ttls, checked):
+@given(
+    base=configs,
+    ttls=st.lists(st.floats(2.0, 40.0), min_size=4, max_size=4),
+    checked=st.booleans(),
+    logged=st.booleans(),
+)
+# a sparse logged run on a 0.1 s tick, where at / tick rounded to the
+# nearest tick, or up, stamps some caught-up GEN or EXP line a tick off
+@example(
+    base=SimConfig(
+        node_count=6,
+        arena_width=60.0,
+        arena_height=60.0,
+        comm_range=3.0,
+        window_size=10.0,
+        message_count=20,
+        generation_span=20.0,
+        tick=0.1,
+        seed=4,
+    ),
+    ttls=[7.33, 12.1, 3.7, 20.9],
+    checked=False,
+    logged=True,
+)
+def test_skipping_matches_passing_and_stepping_every_tick(base, ttls, checked, logged):
     cells = [
         SimConfig(**{**vars(base), "protocol": protocol, "ttl": ttl})
         for protocol, ttl in zip(Protocol, ttls)
     ]
     with checking() if checked else contextlib.nullcontext():
-        skipping = run_cells(cells, shared_timeline(cells), Simulation)
+        skipping = run_cells(cells, shared_timeline(cells), Simulation, logged)
     every = EveryTickTimeline(max(cells, key=trace_duration))
-    assert skipping == run_cells(cells, every, EveryTickSimulation)
+    assert skipping == run_cells(cells, every, EveryTickSimulation, logged)
+
+
+@pytest.mark.parametrize("tick", [0.1, 0.3, 0.7, 1 / 3, 1.0])
+def test_first_tick_is_found_by_the_exact_comparison(tick):
+    # at / tick rounded up is one tick off on both sides here: with tick 0.1,
+    # 0.30000000000000004 / tick rounds up to 4, 0.9000000000000001 to 9
+    def scanned(at):
+        i = 0
+        while at > i * tick:
+            i += 1
+        return i
+
+    for k in range(300):
+        for at in (k * tick, k / 10, math.nextafter(k * tick, math.inf)):
+            for t in (at, math.nextafter(at, -math.inf), -at):
+                assert _first_tick(t, tick) == scanned(t), t
+
+
+def test_an_expiry_before_tick_zero_is_logged_after_routing():
+    # message 0 expires at -8 s, before the first tick; like every expiry
+    # due on a stepped tick, its EXP line follows that tick's routing
+    config = SimConfig(node_count=2)
+    trace = Trace(2, 4.0, 1.0, np.tile([[0.0, 0.0], [1.0, 0.0]], (5, 1, 1)))
+    log = io.StringIO()
+    messages = [Message(0, 0, 1, -10.0, 1.0), Message(1, 0, 1, 0.0, 5.0)]
+    Simulation(config, trace=trace, messages=messages, event_log=log).run()
+    assert log.getvalue().splitlines()[1:] == [
+        "0.0,GEN,0,0,1",
+        "0.0,GEN,1,0,1",
+        "0.0,DLV,1,0,1",
+        "0.0,EXP,0,0,-1",
+    ]
 
 
 def test_quiet_ticks_are_skipped():
@@ -251,4 +325,51 @@ def test_quiet_ticks_are_skipped():
     sim.run()
     ticks = timeline._next_tick
     assert calls["pass"] < ticks / 3
-    assert calls["step"] < ticks / 2
+    # the pair ticks before the finish, then the finish: the settle or last tick
+    finish = round(sim.now / config.tick)
+    assert finish == ticks - 1
+    tracker = ContactTracker(timeline.trace.positions, config.comm_range, config.missed_hello_limit)
+    pair_ticks = sum(1 for idx in range(finish) if tracker.update(idx, idx * config.tick)[1])
+    assert calls["step"] == pair_ticks + 1 < ticks / 10
+
+
+#: sha256 of each event log of the sweep below, recorded at the commit
+#: before simulations caught up skipped ticks, when a simulation stepped on
+#: every tick with an injection or expiry due
+SPARSE_LOG_DIGESTS = {
+    "events.csv.c0.r0": "37c8e472b4a90b66ce0dffb329437f19906c770b24eab4cdf4ac5f6e9983c6fa",
+    "events.csv.c1.r0": "c1b161e17e94aad0ee38be12eba5334a861934b16df72f7af9bfecfab137ac89",
+    "events.csv.c2.r0": "7f4cbe713fb4833667d5c2e559db35d1fbd7fbf6e1f0add5aa1777d585bf5e03",
+    "events.csv.c3.r0": "5523f8aec2f70ee6a28644243f9b6f0d94b521c85b1858bef12232779d7f000b",
+    "events.csv.c4.r0": "7f4cbe713fb4833667d5c2e559db35d1fbd7fbf6e1f0add5aa1777d585bf5e03",
+    "events.csv.c5.r0": "5523f8aec2f70ee6a28644243f9b6f0d94b521c85b1858bef12232779d7f000b",
+    "events.csv.c6.r0": "7f4cbe713fb4833667d5c2e559db35d1fbd7fbf6e1f0add5aa1777d585bf5e03",
+    "events.csv.c7.r0": "5523f8aec2f70ee6a28644243f9b6f0d94b521c85b1858bef12232779d7f000b",
+}
+
+
+def test_sparse_sweep_event_logs_keep_their_bytes(tmp_path):
+    # the desk config (25 nodes, 300x450 m), where pairs are rare: most GEN
+    # and EXP lines are written by a step catching up ticks it skipped
+    spec = parse_config(
+        None,
+        overrides={
+            "protocol": "epidemic,friendship,proposed1,proposed2",
+            "nodes": "25",
+            "speed": "1.0",
+            "ttl": "60,300",
+            "runs": "1",
+            "seed": "1",
+            "area_width": "300",
+            "area_height": "450",
+            "message_count": "200",
+            "out": str(tmp_path / "out.csv"),
+            "event_log": str(tmp_path / "events.csv"),
+        },
+    )
+    assert run_experiment(spec, progress=io.StringIO()) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("events.csv.*")
+    }
+    assert digests == SPARSE_LOG_DIGESTS
