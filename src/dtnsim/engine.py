@@ -75,6 +75,20 @@ arithmetic with :meth:`dtnsim.contacts.ContactWindow.link_weight`, so both
 paths produce bit-identical values.  Each hello tick maintains only the
 nodes marked dirty: a new peer, a slot crossing the threshold, a changed
 advertisement heard, or a view changed by its last pass.
+
+Hellos stand while a pair stays in range, so a hello phase pays per change,
+not per in-range pair.  Each node that has peers in range refreshes one
+standing handle, its friends' weights, in place once per hello phase, and
+every in-range receiver holds that handle as its ``peer_weights`` entry; a
+receiver hears ``apply_hello`` only when its pair starts (it was not in
+range at the last hello phase), when the sender's payload changes (its
+view's stamp moved) or when its last maintain dropped the staged
+advertisement of a sender still in range.  At the first hello phase after a
+pair leaves range, before any handle is refreshed, each end's handle is
+replaced by a copy: the weights of the pair's last hello.  The views then
+hold what a hello from every in-range pair on every hello tick would leave.
+Each simulation builds a node's routing context once per view stamp: every
+container in it is live, and only its centralities follow the stamp.
 """
 
 from __future__ import annotations
@@ -496,7 +510,7 @@ _NO_WEIGHTS: dict[NodeId, float] = {}
 
 
 class _Node:
-    __slots__ = ("id", "view", "slots", "friends")
+    __slots__ = ("id", "view", "slots", "friends", "hearers", "standing", "payload", "stamp")
 
     def __init__(self, node_id: NodeId) -> None:
         self.id = node_id
@@ -506,12 +520,21 @@ class _Node:
         #: the entries of ``slots`` whose weight is above the threshold, in
         #: slot order; replaced, never edited, when the friends change
         self.friends: dict[NodeId, int] = {}
+        #: the peers in range at the last hello phase
+        self.hearers: set[NodeId] = set()
+        #: the standing handle: the friends' weights at the last hello phase
+        #: with hearers, refreshed in place; the hearers' views hold it
+        self.standing: dict[NodeId, float] = {}
+        #: the payload its hearers last heard, and the view stamp it was built at
+        self.payload: HelloPayload | None = None
+        self.stamp: tuple | None = None
 
 
 class _SlotWeights(Mapping):
     """A node's ``{peer: weight}``, read from the slot cache on access.
 
-    Valid only within the tick it was made in; nothing may store one.
+    Every access reads the weights of the timeline's last weight pass and
+    the node's current slots, so one may be kept across ticks.
     """
 
     __slots__ = ("_timeline", "_slots")
@@ -609,6 +632,15 @@ class Timeline:
         #: whether the social layer runs; set when the timeline starts
         self._social = True
         self._schedules: dict[float, _Schedule] = {}
+        #: the pairs in range at the last hello phase, the nodes among them,
+        #: and the (sender, receiver) pairs whose staged advertisement the
+        #: last maintain dropped while they were in range
+        self._heard: set[tuple[NodeId, NodeId]] = set()
+        self._speakers: set[NodeId] = set()
+        self._restage: list[tuple[NodeId, NodeId]] = []
+        #: no active simulation steps on a pair-free tick before the earliest
+        #: settle time or last tick among them (see _tick)
+        self._wake_at = self._wake_end = -math.inf
 
     def _trace_end(self, config: SimConfig) -> int:
         """Ticks of the trace a simulation of ``config`` may replay here.
@@ -753,34 +785,80 @@ class Timeline:
     def _hello_and_maintain(
         self, pairs: list[tuple[NodeId, NodeId]], now: float
     ) -> None:
+        """Standing hellos, then maintain the dirty nodes.
+
+        A hello reaches a receiver only where it can change the receiver's
+        view caches: a pair that starts (it was not in range at the last
+        hello phase), a sender whose payload changed (its view's stamp), and
+        a sender still in range whose staged advertisement the receiver's
+        last maintain dropped.  Every other in-range pair would store the
+        same record and advertisement again, and the same weights, which
+        the receiver already holds as the sender's standing handle: each
+        speaking node refreshes it in place once per hello phase.  First,
+        though, a pair that left range freezes the handle its ends hold,
+        at its last refresh: the weights of the pair's last hello.
+        """
         nodes, dirty = self.nodes, self._dirty
-        threshold = self.cfg.threshold
-        # one payload per node per tick; its weight map holds the friends only
-        payloads: dict[NodeId, HelloPayload] = {}
-        # maintain reads the friend flags, the window key set and the staged
-        # advertisements; the first two mark nodes dirty where they change,
-        # and apply_hello reports a changed advertisement
-        for u, v in pairs:
-            for x, y in ((u, v), (v, u)):
-                payload = payloads.get(x)
-                if payload is None:
-                    sender, weight = nodes[x], self._weights()
-                    payload = payloads[x] = sender.view.make_hello(
-                        {j: weight[s] for j, s in sender.friends.items()}
-                    )
-                if nodes[y].view.apply_hello(payload):
+        current, heard = set(pairs), self._heard
+        # (sender, receiver) pairs that hear the sender's payload this phase
+        sends: list[tuple[NodeId, NodeId]] = []
+        if current != heard:
+            speakers = self._speakers
+            for u, v in heard - current:
+                for x, y in ((u, v), (v, u)):
+                    hearers = nodes[x].hearers
+                    hearers.discard(y)
+                    if not hearers:
+                        speakers.discard(x)
+                    cache = nodes[y].view.peer_weights
+                    cache[x] = dict(cache[x])
+            for u, v in current - heard:
+                nodes[u].hearers.add(v)
+                nodes[v].hearers.add(u)
+                speakers.add(u)
+                speakers.add(v)
+                sends.append((u, v))
+                sends.append((v, u))
+            self._heard = current
+        # what the last maintain dropped is staged again if still in range
+        dropped, self._restage = self._restage, []
+        for x, y in dropped:
+            if y in nodes[x].hearers:
+                sends.append((x, y))
+        if current:
+            weight = self._weights()
+            for x in self._speakers:
+                node = nodes[x]
+                standing = node.standing
+                standing.clear()
+                for j, s in node.friends.items():
+                    standing[j] = weight[s]
+                stamp = node.view.stamp()
+                if stamp != node.stamp:
+                    node.payload = node.view.make_hello(standing)
+                    node.stamp = stamp
+                    sends.extend((x, y) for y in node.hearers)
+            for x, y in sends:
+                if nodes[y].view.apply_hello(nodes[x].payload):
                     dirty[y] = True
 
+        threshold = self.cfg.threshold
+        restage = self._restage
         for i in np.flatnonzero(dirty).tolist():
             node = nodes[i]
+            view = node.view
             # slots are never retired, so their count tells a new peer, and
             # node.friends is replaced whenever the friends change
-            dirty[i] = node.view.maintain(
+            dirty[i] = view.maintain(
                 now,
                 threshold=threshold,
                 weights=_SlotWeights(self, node.slots),
                 basis=(len(node.slots), node.friends),
             )
+            staged = view._advertised
+            for x in node.hearers:
+                if x not in staged:
+                    restage.append((x, i))
 
     # -- main loop -------------------------------------------------------------
 
@@ -810,18 +888,28 @@ class Timeline:
             self._active = []
             raise
         self._next_tick = idx + 1
-        finished = False
+        # a pair-free tick steps no simulation before the earliest settle
+        # time or last tick among them
+        if not (pairs or now >= self._wake_at or idx + 1 >= self._wake_end):
+            return
+        finished, wake_at, wake_end = False, math.inf, math.inf
         for sim in self._active:
             # a simulation steps only where it routes or may end: a tick with
             # pairs, its settle tick or its last tick; the step catches up
             # the injections and expiries of the ticks it skipped
-            if not (pairs or now >= sim._settle or idx + 1 >= sim._end):
-                continue
-            try:
-                finished |= sim._step(idx, now, pairs)
-            except Exception as exc:
-                sim._finish(exc)
-                finished = True
+            if pairs or now >= sim._settle or idx + 1 >= sim._end:
+                try:
+                    finished |= sim._step(idx, now, pairs)
+                except Exception as exc:
+                    sim._finish(exc)
+                    finished = True
+            # a step moves a settle time only where it delivers; one that
+            # finished only makes the next pair-free tick check again
+            if sim._settle < wake_at:
+                wake_at = sim._settle
+            if sim._end < wake_end:
+                wake_end = sim._end
+        self._wake_at, self._wake_end = wake_at, wake_end
         if finished:
             self._active = [sim for sim in self._active if sim._outcome is None]
             self._social = self._reads_social()
@@ -933,6 +1021,8 @@ class Simulation:
         #: ``delivered`` as a mask of ranks
         self._delivered = 0
         self._holders = [0] * len(self.messages)
+        #: per node, (view stamp, RelayContext) as last built (see _relay_context)
+        self._contexts: list[tuple[tuple | None, RelayContext] | None] = [None] * n
         self.total_forwards = 0
         self._unresolved = len(self.messages)
         self._next_inject = 0
@@ -989,9 +1079,6 @@ class Simulation:
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
         protocol, held, got = self.cfg.protocol, self.held, self.got
-        # routing never changes a node's weights or view, so one context per
-        # node serves all of this tick's pairs
-        contexts: dict[NodeId, RelayContext] = {}
         for u, v in pairs:
             for i, j in ((u, v), (v, u)):
                 mine = held[i]
@@ -1000,14 +1087,29 @@ class Simulation:
                 missing = mine & ~(held[j] | got[j])
                 if not missing:
                     continue
-                ctx = contexts.get(i)
-                if ctx is None:
-                    ctx = contexts[i] = self._context(i)
-                actions = decide(protocol, ctx, j, missing, now)
+                actions = decide(protocol, self._relay_context(i), j, missing, now)
                 self._apply_actions(i, j, actions, now)
 
+    def _relay_context(self, i: NodeId) -> RelayContext:
+        """Node ``i``'s context, built once per view stamp.
+
+        Every container a context holds is live (the view's caches and
+        vertex set, a view of the node's weight slots), so only its
+        centralities can go stale, and they change only with the stamp.
+        Routing never changes a node's weights or view, so one context
+        serves every pair of a tick, and every tick up to the stamp's next
+        change.
+        """
+        # epidemic's context reads no view, so it never goes stale
+        epidemic = self.cfg.protocol is Protocol.EPIDEMIC
+        stamp = None if epidemic else self.nodes[i].view.stamp()
+        cached = self._contexts[i]
+        if cached is None or cached[0] != stamp:
+            cached = self._contexts[i] = (stamp, self._context(i))
+        return cached[1]
+
     def _context(self, i: NodeId) -> RelayContext:
-        """Node ``i``'s state as :func:`decide` reads it this tick."""
+        """Node ``i``'s state as :func:`decide` reads it, built afresh."""
         ranked, toward = self._schedule.ranked, self._schedule.toward
         if self.cfg.protocol is Protocol.EPIDEMIC:
             # epidemic reads no weight or view
@@ -1052,47 +1154,64 @@ class Simulation:
                     held[i] &= ~(1 << r)
                     self._holders[r] &= ~(1 << i)
 
-    def _expire(self, by: float) -> None:
+    def _expire(self, by: float, log: bool = False) -> None:
         """Expire every message due by ``by`` in one batch: clear their ranks
-        from every node that holds one."""
+        from every node that holds one.  With ``log``, every one of them is
+        due on the tick at ``by``, and its EXP lines are written there."""
         schedule, k = self._schedule, self._next_expiry
         if schedule.expire_at[k] > by:
             return
         end = bisect_right(schedule.expire_at, by, k)
-        holders, gone, spread = self._holders, 0, 0
-        for r in schedule.expire_rank[k:end]:
-            gone |= 1 << r
-            spread |= holders[r]
-            holders[r] = 0
-        held, keep = self.held, ~gone
-        for i in bits(spread):
-            held[i] &= keep
+        held, holders, gone = self.held, self._holders, 0
+        if log:
+            # one walk over each message's holders writes its lines and
+            # clears it from them
+            write, ranked = self._log_fh.write, schedule.ranked
+            for r in schedule.expire_rank[k:end]:
+                bit = 1 << r
+                gone |= bit
+                mid = ranked[r].id
+                for i in bits(holders[r]):  # ascending node id
+                    write(f"{by!r},EXP,{mid},{i},-1\n")
+                    held[i] &= ~bit
+                holders[r] = 0
+        else:
+            spread = 0
+            for r in schedule.expire_rank[k:end]:
+                gone |= 1 << r
+                spread |= holders[r]
+                holders[r] = 0
+            keep = ~gone
+            for i in bits(spread):
+                held[i] &= keep
         # resolved: no copy is left, so it can never be delivered now
         self._unresolved -= (gone & ~self._delivered).bit_count()
         self._next_expiry = end
 
-    def _log_lanes(self, gen: int, by: float) -> None:
+    def _log_lanes(self, gen: int, before: float, now: float) -> None:
         """Log the GEN lines of injection-lane entries ``gen`` up to
-        ``_next_inject`` and the EXP lines of the expiries due by ``by``,
-        each at its own tick, in tick order and GEN first within a tick: the
-        lines the ticks of these entries wrote when stepped.
+        ``_next_inject`` and the EXP lines of the expiries due by ``before``
+        (the previous tick), each at its own tick, in tick order and GEN
+        first within a tick: the lines the ticks of these entries wrote when
+        stepped.  An injection after ``before`` is due on the step's own
+        tick, at ``now``, after every line of an earlier tick; only the
+        others search for their tick (:func:`_first_tick`).
 
         Runs between the injections and the expiries it logs, so each EXP
         line reads the holders the message had when it expired."""
         schedule, stop, exp = self._schedule, self._next_inject, self._next_expiry
         inject_at, expire_at = schedule.inject_at, schedule.expire_at
-        if gen == stop and expire_at[exp] > by:
-            return
-        tick, end = self.cfg.tick, bisect_right(expire_at, by, exp)
+        messages, tick = self.messages, self.cfg.tick
+        own, end = bisect_right(inject_at, before, gen, stop), bisect_right(expire_at, before, exp)
         # merge the two lanes by tick, GEN first on a tie
-        gen_tick = _first_tick(inject_at[gen], tick) if gen < stop else math.inf
+        gen_tick = _first_tick(inject_at[gen], tick) if gen < own else math.inf
         exp_tick = _first_tick(expire_at[exp], tick) if exp < end else math.inf
-        while gen < stop or exp < end:
+        while gen < own or exp < end:
             if gen_tick <= exp_tick:
-                m = self.messages[gen]
+                m = messages[gen]
                 self._log(gen_tick * tick, "GEN", m.id, m.src, m.dst)
                 gen += 1
-                gen_tick = _first_tick(inject_at[gen], tick) if gen < stop else math.inf
+                gen_tick = _first_tick(inject_at[gen], tick) if gen < own else math.inf
             else:
                 r = schedule.expire_rank[exp]
                 mid = schedule.ranked[r].id
@@ -1100,6 +1219,8 @@ class Simulation:
                     self._log(exp_tick * tick, "EXP", mid, holder, -1)
                 exp += 1
                 exp_tick = _first_tick(expire_at[exp], tick) if exp < end else math.inf
+        for m in messages[own:stop]:
+            self._log(now, "GEN", m.id, m.src, m.dst)
 
     def _step(self, idx: int, now: float, pairs: list[tuple[NodeId, NodeId]]) -> bool:
         """Route one tick of the timeline; True once this run has ended.
@@ -1118,7 +1239,7 @@ class Simulation:
         before = (idx - 1) * self.cfg.tick if idx else -math.inf
         self._inject(now)
         if logged:
-            self._log_lanes(gen, before)
+            self._log_lanes(gen, before, now)
         self._expire(before)
         if pairs:
             delivered = len(self.delivered)
@@ -1132,9 +1253,7 @@ class Simulation:
                     j -= 1
                 self._last_live = j
                 self._settle = schedule.expire_at[j]
-        if logged:
-            self._log_lanes(self._next_inject, now)
-        self._expire(now)
+        self._expire(now, logged)
         if self._unresolved == 0:
             self._finish(self._metrics())
         elif idx + 1 >= self._end:

@@ -110,6 +110,11 @@ class RelayContext:
     is non-negative: :func:`decide` relies on it to rule out a weight win
     for a destination the peer does not advertise without reading
     ``own_weights``.
+
+    :func:`decide` reads every container on each call, so a context may
+    hold live ones (the engine's are the node's view caches and a view of
+    its weight slots, and a peer's advertised weights may be a handle the
+    peer refreshes) and be kept while its scalars hold.
     """
 
     node: NodeId
@@ -128,6 +133,17 @@ class RelayContext:
     #: advertised centralities per peer heard from
     peer_centrality: Mapping[NodeId, PeerRecord] = field(default_factory=dict)
     threshold: float = 0.01
+
+
+def _exceeds(a: Fraction | float, b: Fraction | float) -> bool:
+    """``a > b``, exactly.  Rationals (ints and Fractions, whose denominators
+    are positive) compare by cross-multiplying their integer parts, which
+    costs a third of :class:`~fractions.Fraction`'s own comparison; a float
+    on either side compares as it is."""
+    try:
+        return a.numerator * b.denominator > b.numerator * a.denominator
+    except AttributeError:  # a float has no numerator
+        return a > b
 
 
 def _beats_whole_network(ctx: RelayContext, peer: NodeId, dest: NodeId, w_peer: float) -> bool:
@@ -200,9 +216,9 @@ def decide(
     more_central = False
     record = ctx.peer_centrality.get(peer)
     if protocol is Protocol.PROPOSED_I:
-        more_central = (record.cb if record else 0) > ctx.own_cb
+        more_central = _exceeds(record.cb if record else 0, ctx.own_cb)
     elif protocol is Protocol.PROPOSED_II:
-        more_central = (record.ceb if record else 0) > ctx.own_ceb
+        more_central = _exceeds(record.ceb if record else 0, ctx.own_ceb)
     peer_weights = ctx.peer_weights.get(peer, {})
     verdicts: dict[NodeId, Action | None] = {}
     if protocol is Protocol.EPIDEMIC or more_central:
@@ -218,6 +234,8 @@ def decide(
                 if verdict is not None:
                     verdicts[dest] = verdict
                     moving |= selected
+    if not moving:
+        return []
     messages = ctx.messages
     actions: list[ForwardAction] = []
     for rank in bits(moving):

@@ -12,6 +12,17 @@ hello is the only channel a DTN node has.
 A view redoes only what its inputs changed: the neighbour list and
 centralities of its payloads are built once per revision, and a maintain
 pass that cannot change the graph is skipped (see ``maintain``).
+
+Hellos stand while a pair stays in range.  A payload's weight map is stored
+as it is, so a sender may pass a standing handle: one map of its own that
+it refreshes in place once per hello tick, which every in-range receiver
+holds as ``peer_weights[sender]``.  The engine (see
+:mod:`dtnsim.engine`) calls :meth:`~SocialNetworkView.apply_hello` only
+when a pair starts, when the sender's payload changes, or when ``maintain``
+dropped the receiver's staged advertisement of a sender still in range;
+every other hello would change nothing.  When the pair leaves range the
+receiver's handle is replaced by a copy, frozen at the sender's last hello.
+So ``peer_weights`` values may be live handles.
 """
 
 from __future__ import annotations
@@ -31,13 +42,14 @@ class PeerRecord:
     ceb: Fraction | float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HelloPayload:
     """What a node broadcasts: who it is friends with and how central it is.
 
     Every receiver stores ``link_weights`` and ``record`` as they are, so
-    both are shared by the payload and the views that heard it, and must not
-    be mutated.
+    both are shared by the payload and the views that heard it.  Only their
+    sender may change ``link_weights``: a standing handle is refreshed in
+    place (see the module docstring); a record is never changed.
     """
 
     sender: NodeId
@@ -74,7 +86,8 @@ class SocialNetworkView:
         self.graph = SocialGraph(vertices=[owner])
         self.peer_centrality: dict[NodeId, PeerRecord] = {}
         #: each peer's last advertised weights: the hello payload's own map,
-        #: shared with every view that heard it, so never mutated
+        #: shared with every view that heard it; while the peer is in range
+        #: it may be the peer's standing handle (see the module docstring)
         self.peer_weights: dict[NodeId, Mapping[NodeId, float]] = {}
         # last advertised neighbor list per peer; staged for the next maintain
         self._advertised: dict[NodeId, frozenset[NodeId]] = {}
@@ -113,19 +126,21 @@ class SocialNetworkView:
 
         ``link_weights`` is supplied by the owner of the contact windows
         (this view has no access to them) and should already be filtered to
-        above-threshold peers.  The payload keeps a copy, so a later edit
-        of the caller's map does not reach the receivers.  The neighbor
-        list and centralities are built once per view revision (and graph
-        edit) and shared by every payload until it changes, with one
-        :class:`PeerRecord` that receivers store as it is.
+        above-threshold peers.  The payload holds it as it is, not a copy,
+        so the caller may refresh it in place as a standing handle.  The
+        neighbor list and centralities are built once per view revision
+        (and graph edit) and shared by every payload until it changes, with
+        one :class:`PeerRecord` that receivers store as it is.
         """
-        stamp = self._stamp()
+        stamp = self.stamp()
         if self._hello is None or self._hello[0] != stamp:
             cb, ceb = self.my_centrality()
             neighbors = frozenset(self.graph._adj[self.owner])
             self._hello = (stamp, neighbors, PeerRecord(cb, ceb))
         _, neighbors, record = self._hello
-        return HelloPayload(self.owner, neighbors, record, dict(link_weights or {}))
+        if link_weights is None:
+            link_weights = {}
+        return HelloPayload(self.owner, neighbors, record, link_weights)
 
     # -- centrality ------------------------------------------------------------
 
@@ -138,17 +153,19 @@ class SocialNetworkView:
         result is cached until the view's revision changes or its graph is
         edited.
         """
-        stamp = self._stamp()
+        stamp = self.stamp()
         if self._centrality_cache and self._centrality_cache[0] == stamp:
             return self._centrality_cache[1]
         cb, ceb = ego_centrality(self.graph, self.owner)
         self._centrality_cache = (stamp, (cb, ceb))
         return cb, ceb
 
-    def _stamp(self) -> tuple:
+    def stamp(self) -> tuple:
         """Changes whenever the graph may have: ``maintain`` bumps the
         revision when it changes the graph, and every other edit goes
-        through the graph's methods, which count it."""
+        through the graph's methods, which count it.  Whatever is derived
+        from the graph (payloads, centralities, a routing context) may be
+        kept while the stamp compares equal."""
         graph = self.graph
         return (self.revision, graph, graph._edits)
 

@@ -9,6 +9,7 @@ given non-negative weights.  Both read the peer's advertised weights and
 centralities from the context's caches.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from dtnsim.routing import (
     Message,
     Protocol,
     RelayContext,
+    _exceeds,
     decide,
 )
 from dtnsim.social import PeerRecord
@@ -197,3 +199,28 @@ def test_consecutive_calls_share_no_verdicts(contacts_in_turn):
         for protocol in Protocol:
             expected = reference_decide(protocol, ctx, peer, buffered, peer_has, NOW)
             assert decide(protocol, ctx, peer, missing, NOW) == expected
+
+
+rationals = st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40))
+
+
+@given(
+    value=st.floats(min_value=0.0, max_value=1e300),
+    other=rationals,
+    nudge=st.integers(1, 2**64),
+)
+@example(value=0.0, other=Fraction(0), nudge=1)
+@example(value=1.0, other=Fraction(1), nudge=1)
+def test_exceeds_is_the_exact_fraction_comparison(value, other, nudge):
+    # the centrality fallback's comparison: ties, zeros, and distinct
+    # rationals that round to the same float all compare as Fraction does
+    exact = Fraction(value)
+    # less than half an ulp above an exact float still rounds to it
+    close = exact + Fraction(math.ulp(value)) / (2 * nudge + 1)
+    assert close != exact and float(close) == value
+    for a in (exact, close, other, Fraction(0), 0):
+        for b in (exact, close, other, Fraction(0), 0):
+            assert _exceeds(a, b) == (a > b), (a, b)
+    # a float on either side compares as it is
+    for a, b in ((value, close), (close, value), (value, exact), (exact, value)):
+        assert _exceeds(a, b) == (a > b), (a, b)

@@ -5,6 +5,7 @@ attached simulation in lockstep.  Each test here runs the same cells both
 ways, or checks that a group is rejected or fails per cell.
 """
 
+import hashlib
 import io
 from dataclasses import replace
 
@@ -286,3 +287,41 @@ def test_epidemic_keeps_matching_after_proposed_cell_finishes_first():
         assert (report, log.getvalue()) == (alone_report, alone_log)
         assert ",FWD," in alone_log
         assert sim.now == alone.now and sim.holders == alone.holders
+
+
+#: sha256 of each cell's event log at hello_period = 2 * tick, recorded at
+#: the commit before hellos stood (every in-range pair heard a hello on
+#: every hello tick)
+EVERY_OTHER_TICK_LOG_DIGESTS = {
+    ("epidemic", 30.0): "1077a8d81a9e719b51aeb03f0859ac74c868221174d1badb282d4b3338dbd60a",
+    ("epidemic", 80.0): "dd8181b948fb8377fa8c92c852d9ec72861802db37dd1f9ab461131a01781a05",
+    ("friendship", 30.0): "6c7b28d60c09d0aa037920a6e2291cfdebec5ae06551d87650f1000a58786da1",
+    ("friendship", 80.0): "cb00117d3423e3a1b0732f2613a2bd6caade91069a9623d00a12ee5fca685571",
+    ("proposed1", 30.0): "007a93983e73da24a5fc309e09603a1496c8c4683685c44bd1c3fd89f07e8e82",
+    ("proposed1", 80.0): "38edf3d1db7ea4a7d562635875009dd7fa263da6a6d9c24ca77a349bf165916a",
+    ("proposed2", 30.0): "3f77c43eaf3d5b5aaecc50517c65994acd85b8a3d9424d41cfe463df35e8abfc",
+    ("proposed2", 80.0): "d806f9d10260612b7c9552cb6b72a43e54f5a8532cc69dfa81f35cb5c857f1f7",
+}
+
+
+@pytest.mark.parametrize("checked", [False, True], indirect=True)
+def test_hellos_every_other_tick_keep_their_event_logs(checked):
+    # pairs leave range between hello ticks, so their receivers' standing
+    # handles are frozen at the next hello phase; routing reads both the
+    # handles (on the tick between) and the frozen copies
+    configs = cells(relay_config(hello_period=2.0))
+    timeline, sims, logs = attach(configs)
+    for sim in sims:
+        sim.run()
+    digests = {
+        (config.protocol.value, config.ttl): hashlib.sha256(log.getvalue().encode()).hexdigest()
+        for config, log in zip(configs, logs)
+    }
+    assert digests == EVERY_OTHER_TICK_LOG_DIGESTS
+    frozen = [
+        weights
+        for node in timeline.nodes
+        for x, weights in node.view.peer_weights.items()
+        if weights is not timeline.nodes[x].standing
+    ]
+    assert any(frozen)

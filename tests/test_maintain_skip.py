@@ -17,7 +17,7 @@ from collections.abc import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtnsim.engine import SimConfig, Simulation
+from dtnsim.engine import SimConfig, Simulation, Timeline
 from dtnsim.routing import Protocol
 from dtnsim.social import HelloPayload, PeerRecord, SocialNetworkView
 
@@ -287,16 +287,28 @@ def test_payload_follows_the_revision_and_stored_maps_never_change():
     assert edited.record == PeerRecord(*view.my_centrality()) == PeerRecord(5, 9)
 
 
-def test_engine_payload_maps_stored_at_earlier_ticks_do_not_change(monkeypatch):
-    heard = []
-    apply_hello = SocialNetworkView.apply_hello
+def test_engine_peer_weights_are_standing_handles_in_range_and_frozen_after(monkeypatch):
+    # after each hello phase a receiver holds an in-range sender's standing
+    # handle itself, and any other sender's weights as a copy that never
+    # changes again
+    frozen = []
+    phase = Timeline._hello_and_maintain
 
-    def recording(view, payload):
-        heard.append((payload.link_weights, dict(payload.link_weights)))
-        return apply_hello(view, payload)
+    def observed(timeline, pairs, now):
+        phase(timeline, pairs, now)
+        in_range = set(pairs)
+        for node in timeline.nodes:
+            for x, weights in node.view.peer_weights.items():
+                handle = timeline.nodes[x].standing
+                if (min(x, node.id), max(x, node.id)) in in_range:
+                    assert weights is handle, f"node {node.id} holds a copy of {x}'s at t={now}"
+                else:
+                    assert weights is not handle, f"node {node.id} holds {x}'s handle at t={now}"
+                    frozen.append((weights, dict(weights)))
 
-    monkeypatch.setattr(SocialNetworkView, "apply_hello", recording)
-    Simulation(dense_config(), event_log=io.StringIO()).run()
-    assert heard and any(copy for _, copy in heard)
-    for shared, copy in heard:
-        assert shared == copy
+    monkeypatch.setattr(Timeline, "_hello_and_maintain", observed)
+    for hello_period in (1.0, 2.0):
+        Simulation(dense_config(hello_period=hello_period), event_log=io.StringIO()).run()
+    assert frozen and any(copy for _, copy in frozen)
+    for stored, copy in frozen:
+        assert stored == copy

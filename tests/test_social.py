@@ -249,11 +249,12 @@ def test_make_hello_reports_friends_and_centrality():
     view.maintain(0, threshold=TH, weights={1: 1.0, 2: 1.0, 3: 1.0})
     weights = {1: 1.0, 2: 1.0, 3: 1.0}
     payload = view.make_hello(link_weights=weights)
-    weights[4] = 1.0  # the payload holds its own copy
     assert payload.sender == 0
     assert payload.neighbor_list == frozenset({1, 2, 3})
     assert payload.record == PeerRecord(3, 6)
-    assert payload.link_weights == {1: 1.0, 2: 1.0, 3: 1.0}
+    # held as it is, not copied: a sender may refresh it as a standing handle
+    assert payload.link_weights is weights
+    assert view.make_hello({}).link_weights == {}
 
 
 def test_centrality_cache_tracks_graph_changes():
