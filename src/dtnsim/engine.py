@@ -14,11 +14,11 @@ after the expiry time of its last message not delivered, where it resolves
 its last message unless a delivery did first) or its last trace tick.  A
 step first catches up the ticks skipped since the last one: it injects
 every message due by now and expires every message due by the previous
-tick.  Nothing reads the masks between steps and a message expires on a
-later tick than it is injected, so each step routes on the masks that a
-run stepped on every tick would route on, and each run ends on the same
-tick; a logged step writes the skipped ticks' GEN and EXP lines with their
-own ticks' times.
+tick, a logged step one skipped tick at a time, so that each GEN and EXP
+line is written at its own tick.  Nothing reads the masks between steps
+and a message expires on a later tick than it is injected, so each step
+routes on the masks that a run stepped on every tick would route on, and
+each run ends on the same tick.
 No per-tick state is stored.  A Simulation built without a timeline gets
 one of its own, which is the same code path.
 
@@ -200,8 +200,9 @@ class SimConfig:
             raise ValueError("pause must be non-negative")
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
+        # a ratio that rounds to 0 would make hellos due every 0 ticks
         ratio = self.hello_period / self.tick
-        if abs(ratio - round(ratio)) > 1e-9:
+        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("hello_period must be a multiple of tick")
         if self.window_size <= self.missed_hello_limit * self.tick:
             raise ValueError(
@@ -441,9 +442,9 @@ class _Schedule:
     The lanes are flat lists in injection order (``inject_*``) and in expiry
     order (``expire_*``).  ``inject_at`` and ``expire_at`` hold ascending
     times, then an ``inf`` sentinel: an entry is due on the first tick
-    index ``i >= 0`` with ``at <= i * tick`` (see :func:`_first_tick`), so
-    a step bisects a lane for the entries due by a tick.  The other lanes
-    hold each message's rank and source.
+    index ``i >= 0`` with ``at <= i * tick``, so a step bisects a lane for
+    the entries due by a tick.  The other lanes hold each message's rank
+    and source.
     """
 
     messages: list[Message]
@@ -942,17 +943,6 @@ class Timeline:
             self._hello_and_maintain(pairs, now)
 
 
-def _first_tick(at: float, tick: float) -> int:
-    """The first tick index ``i >= 0`` with ``at <= i * tick``, found by that
-    comparison itself: ``at / tick`` rounded up only starts the search."""
-    i = math.ceil(at / tick) if at > 0 else 0
-    while i * tick < at:
-        i += 1
-    while i and (i - 1) * tick >= at:
-        i -= 1
-    return i
-
-
 def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
     """One timeline for simulations of ``configs``, which may differ only in
     ``protocol`` and ``ttl``; a generated trace covers the longest TTL."""
@@ -1033,6 +1023,8 @@ class Simulation:
         #: the run resolves its last one on the first tick at or after this
         self._settle = schedule.expire_at[self._last_live]
         self.now = 0.0
+        #: the index of the last tick stepped
+        self._stepped = -1
         self._ran = False
         #: the MetricsReport, or the exception the run ended with
         self._outcome: MetricsReport | Exception | None = None
@@ -1066,7 +1058,8 @@ class Simulation:
     # -- routing phases ----------------------------------------------------------
 
     def _inject(self, now: float) -> None:
-        """Inject every message due by ``now``."""
+        """Inject every message due by ``now``.  A logged run calls this on
+        every tick, so each GEN line is written at its message's own tick."""
         schedule, k = self._schedule, self._next_inject
         if schedule.inject_at[k] > now:
             return
@@ -1075,6 +1068,10 @@ class Simulation:
         for r, src in zip(schedule.inject_rank[k:end], schedule.inject_src[k:end]):
             holders[r] = 1 << src
             held[src] |= 1 << r
+        if self._log_fh is not None:
+            write = self._log_fh.write
+            for m in self.messages[k:end]:
+                write(f"{now!r},GEN,{m.id},{m.src},{m.dst}\n")
         self._next_inject = end
 
     def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
@@ -1154,93 +1151,56 @@ class Simulation:
                     held[i] &= ~(1 << r)
                     self._holders[r] &= ~(1 << i)
 
-    def _expire(self, by: float, log: bool = False) -> None:
+    def _expire(self, by: float) -> None:
         """Expire every message due by ``by`` in one batch: clear their ranks
-        from every node that holds one.  With ``log``, every one of them is
-        due on the tick at ``by``, and its EXP lines are written there."""
+        from every node that holds one.  A logged run calls this on every
+        tick, so each EXP line is written at its message's own tick."""
         schedule, k = self._schedule, self._next_expiry
         if schedule.expire_at[k] > by:
             return
         end = bisect_right(schedule.expire_at, by, k)
-        held, holders, gone = self.held, self._holders, 0
-        if log:
-            # one walk over each message's holders writes its lines and
-            # clears it from them
-            write, ranked = self._log_fh.write, schedule.ranked
-            for r in schedule.expire_rank[k:end]:
-                bit = 1 << r
-                gone |= bit
+        held, holders, gone, spread = self.held, self._holders, 0, 0
+        log, ranked = self._log_fh, schedule.ranked
+        for r in schedule.expire_rank[k:end]:
+            gone |= 1 << r
+            spread |= holders[r]
+            if log is not None:
                 mid = ranked[r].id
                 for i in bits(holders[r]):  # ascending node id
-                    write(f"{by!r},EXP,{mid},{i},-1\n")
-                    held[i] &= ~bit
-                holders[r] = 0
-        else:
-            spread = 0
-            for r in schedule.expire_rank[k:end]:
-                gone |= 1 << r
-                spread |= holders[r]
-                holders[r] = 0
-            keep = ~gone
-            for i in bits(spread):
-                held[i] &= keep
+                    log.write(f"{by!r},EXP,{mid},{i},-1\n")
+            holders[r] = 0
+        keep = ~gone
+        for i in bits(spread):
+            held[i] &= keep
         # resolved: no copy is left, so it can never be delivered now
         self._unresolved -= (gone & ~self._delivered).bit_count()
         self._next_expiry = end
-
-    def _log_lanes(self, gen: int, before: float, now: float) -> None:
-        """Log the GEN lines of injection-lane entries ``gen`` up to
-        ``_next_inject`` and the EXP lines of the expiries due by ``before``
-        (the previous tick), each at its own tick, in tick order and GEN
-        first within a tick: the lines the ticks of these entries wrote when
-        stepped.  An injection after ``before`` is due on the step's own
-        tick, at ``now``, after every line of an earlier tick; only the
-        others search for their tick (:func:`_first_tick`).
-
-        Runs between the injections and the expiries it logs, so each EXP
-        line reads the holders the message had when it expired."""
-        schedule, stop, exp = self._schedule, self._next_inject, self._next_expiry
-        inject_at, expire_at = schedule.inject_at, schedule.expire_at
-        messages, tick = self.messages, self.cfg.tick
-        own, end = bisect_right(inject_at, before, gen, stop), bisect_right(expire_at, before, exp)
-        # merge the two lanes by tick, GEN first on a tie
-        gen_tick = _first_tick(inject_at[gen], tick) if gen < own else math.inf
-        exp_tick = _first_tick(expire_at[exp], tick) if exp < end else math.inf
-        while gen < own or exp < end:
-            if gen_tick <= exp_tick:
-                m = messages[gen]
-                self._log(gen_tick * tick, "GEN", m.id, m.src, m.dst)
-                gen += 1
-                gen_tick = _first_tick(inject_at[gen], tick) if gen < own else math.inf
-            else:
-                r = schedule.expire_rank[exp]
-                mid = schedule.ranked[r].id
-                for holder in bits(self._holders[r]):  # ascending node id
-                    self._log(exp_tick * tick, "EXP", mid, holder, -1)
-                exp += 1
-                exp_tick = _first_tick(expire_at[exp], tick) if exp < end else math.inf
-        for m in messages[own:stop]:
-            self._log(now, "GEN", m.id, m.src, m.dst)
 
     def _step(self, idx: int, now: float, pairs: list[tuple[NodeId, NodeId]]) -> bool:
         """Route one tick of the timeline; True once this run has ended.
 
         First the step catches up what the ticks skipped since the last one
-        would have done: every injection due by ``now`` and every expiry due
-        by the previous tick (``(idx - 1) * tick``, the expression that tick
-        compared with).  Nothing reads the masks between steps, and a
-        message expires on a later tick than it is injected, so the masks
-        routed on equal those of a run stepped on every tick.  Then it
-        routes, expires what is due at ``now`` and checks for the end.
+        would have done.  A logged step replays each skipped tick, oldest
+        first, through the same injection and expiry calls at that tick's
+        time, so every GEN and EXP line is written at its own tick.  An
+        unlogged step batches them: it injects every message due by ``now``
+        and expires every message due by the previous tick (``(idx - 1) *
+        tick``, the expression that tick compared with).  Nothing reads the
+        masks between steps, and a message expires on a later tick than it
+        is injected, so the masks routed on equal those of a run stepped on
+        every tick.  Then it routes, expires what is due at ``now`` and
+        checks for the end.
         """
         self.now = now
-        logged, gen = self._log_fh is not None, self._next_inject
-        # tick 0 has no tick before it
-        before = (idx - 1) * self.cfg.tick if idx else -math.inf
+        tick = self.cfg.tick
+        if self._log_fh is not None:
+            for t in range(self._stepped + 1, idx):
+                self._inject(t * tick)
+                self._expire(t * tick)
+        self._stepped = idx
         self._inject(now)
-        if logged:
-            self._log_lanes(gen, before, now)
-        self._expire(before)
+        # tick 0 has no tick before it
+        self._expire((idx - 1) * tick if idx else -math.inf)
         if pairs:
             delivered = len(self.delivered)
             self._route(pairs, now)
@@ -1253,7 +1213,7 @@ class Simulation:
                     j -= 1
                 self._last_live = j
                 self._settle = schedule.expire_at[j]
-        self._expire(now, logged)
+        self._expire(now)
         if self._unresolved == 0:
             self._finish(self._metrics())
         elif idx + 1 >= self._end:

@@ -150,28 +150,6 @@ class SocialGraph:
 # -- shortest-path machinery ------------------------------------------------
 
 
-def _sssp_counts(g: SocialGraph, s: NodeId):
-    """BFS from ``s``: visit order, predecessor lists, path counts, distances."""
-    dist: dict[NodeId, int] = {s: 0}
-    sigma: dict[NodeId, int] = {s: 1}
-    preds: dict[NodeId, list[NodeId]] = {s: []}
-    order: list[NodeId] = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in g._adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                sigma[w] = 0
-                preds[w] = []
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, preds, sigma, dist
-
-
 def _path_counts(adj: dict[NodeId, set[NodeId]], s: NodeId):
     """Level-by-level BFS from ``s``: distances and shortest-path counts.
 
@@ -198,16 +176,23 @@ def _path_counts(adj: dict[NodeId, set[NodeId]], s: NodeId):
 
 
 def _brandes(g: SocialGraph, include_endpoints: bool) -> dict[NodeId, Fraction]:
-    """Dependency accumulation over all sources; unordered pairs (halved)."""
-    score: dict[NodeId, Fraction] = {v: Fraction(0) for v in g.vertices}
-    for s in g.vertices:
-        order, preds, sigma, _ = _sssp_counts(g, s)
-        delta: dict[NodeId, Fraction] = {v: Fraction(0) for v in order}
+    """Dependency accumulation over all sources; unordered pairs (halved).
+
+    Walks each source's BFS order backwards; the predecessors of ``w`` are
+    its neighbours one level nearer the source.
+    """
+    adj = g._adj
+    score: dict[NodeId, Fraction] = {v: Fraction(0) for v in adj}
+    for s in adj:
+        dist, sigma = _path_counts(adj, s)
+        delta: dict[NodeId, Fraction] = {v: Fraction(0) for v in dist}
         if include_endpoints:
-            score[s] += len(order) - 1
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            score[s] += len(dist) - 1
+        for w in reversed(dist):
+            d = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == d:
+                    delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
             if w != s:
                 score[w] += delta[w] + 1 if include_endpoints else delta[w]
     return {v: val / 2 for v, val in score.items()}

@@ -73,6 +73,9 @@ def test_config_check_names_offending_field():
         SimConfig(node_count=1).check()
     with pytest.raises(ValueError, match="hello_period"):
         SimConfig(hello_period=0.7).check()
+    # within the multiple-of-tick slack of 0 ticks
+    with pytest.raises(ValueError, match="hello_period"):
+        SimConfig(hello_period=1e-10, tick=1.0).check()
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from dtnsim.graph import (
     NodeId,
     SocialGraph,
     UnknownVertexError,
-    _sssp_counts,
+    _path_counts,
     betweenness,
     ego_centrality,
     endpoint_betweenness,
@@ -29,7 +29,7 @@ def betweenness_by_enumeration(
     score: dict[NodeId, Fraction] = {v: Fraction(0) for v in g.vertices}
     verts = sorted(g.vertices)
     for i, s in enumerate(verts):
-        _, preds, _, dist = _sssp_counts(g, s)
+        dist, _ = _path_counts(g._adj, s)
         for t in verts[i + 1 :]:
             if t not in dist:
                 continue
@@ -39,8 +39,10 @@ def betweenness_by_enumeration(
                 if v == s:
                     paths.append([s] + tail)
                     return
-                for p in preds[v]:
-                    _back(p, [v] + tail)
+                # v's predecessors: its neighbours one level nearer s
+                for p in g.neighbors(v):
+                    if dist[p] == dist[v] - 1:
+                        _back(p, [v] + tail)
 
             _back(t, [])
             share = Fraction(1, len(paths))

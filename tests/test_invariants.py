@@ -13,6 +13,8 @@ name exactly the messages delivered to it, and the count of unresolved
 messages must equal the messages neither delivered nor expired.  A run must
 end with every message resolved exactly once, never deliver more than it
 generated, and log no forward or delivery of a message after its expiry.
+Every GEN and EXP line must carry its message's own tick, found by scanning
+the tick grid, on a grid of whole, tenth and third seconds.
 """
 
 import contextlib
@@ -118,22 +120,27 @@ def expired_undelivered(sim, now):
     }
 
 
-def check_log(text, generated):
+def check_log(sim, text):
     lines = text.splitlines()
     assert lines[0] == "time,event,msg_id,from,to"
+    tick = sim.cfg.tick
+    message = {m.id: m for m in sim.messages}
     seen, expired = set(), set()
     for line in lines[1:]:
-        _, kind, mid, _, _ = line.split(",")
+        at, kind, mid, _, _ = line.split(",")
         mid = int(mid)
+        m = message[mid]
         if kind == "GEN":
             assert mid not in seen
             seen.add(mid)
+            assert float(at) == first_tick(m.created_at, tick) * tick, line
         elif kind == "EXP":
             expired.add(mid)
+            assert float(at) == first_tick(m.created_at + m.ttl + tick, tick) * tick, line
         else:
             assert kind in ("FWD", "DLV")
             assert mid in seen and mid not in expired, line
-    assert seen == generated
+    assert seen == set(message)
 
 
 def checked_config(checked, **fields):
@@ -154,6 +161,7 @@ configs = st.builds(
     message_count=st.integers(1, 20),
     generation_span=st.floats(1.0, 30.0),
     seed=st.integers(0, 10**6),
+    tick=st.sampled_from([1.0, 0.1, 1 / 3]),
     checked=st.booleans(),
 )
 
@@ -188,7 +196,7 @@ def test_bookkeeping_invariants_hold_for_every_protocol(drawn, ttls):
         assert sim.delivered | expired == generated
         holders = sim.holders
         assert all(not holders[mid] for mid in expired)
-        check_log(log.getvalue(), generated)
+        check_log(sim, log.getvalue())
     # a finished run's state stays as its last step left it
     for sim in sims:
         check_state(sim, sim.now)

@@ -29,7 +29,6 @@ from dtnsim.engine import (
     SimConfig,
     Simulation,
     Timeline,
-    _first_tick,
     shared_timeline,
     trace_duration,
 )
@@ -264,22 +263,6 @@ def test_skipping_matches_passing_and_stepping_every_tick(base, ttls, checked, l
         skipping = run_cells(cells, shared_timeline(cells), Simulation, logged)
     every = EveryTickTimeline(max(cells, key=trace_duration))
     assert skipping == run_cells(cells, every, EveryTickSimulation, logged)
-
-
-@pytest.mark.parametrize("tick", [0.1, 0.3, 0.7, 1 / 3, 1.0])
-def test_first_tick_is_found_by_the_exact_comparison(tick):
-    # at / tick rounded up is one tick off on both sides here: with tick 0.1,
-    # 0.30000000000000004 / tick rounds up to 4, 0.9000000000000001 to 9
-    def scanned(at):
-        i = 0
-        while at > i * tick:
-            i += 1
-        return i
-
-    for k in range(300):
-        for at in (k * tick, k / 10, math.nextafter(k * tick, math.inf)):
-            for t in (at, math.nextafter(at, -math.inf), -at):
-                assert _first_tick(t, tick) == scanned(t), t
 
 
 def test_an_expiry_before_tick_zero_is_logged_after_routing():
