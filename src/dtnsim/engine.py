@@ -38,14 +38,22 @@ reads none of it, so a timeline whose active simulations are all epidemic
 only detects contacts and routes.  Nothing attaches once a timeline has
 started, so the layer, once off, stays off.
 
-Contact detection never looks at all n^2 pairs: a sort on x and a sweep
-over the x neighbours within range yields the candidate pairs whose x gap
-and y gap are both within range (a conservative superset), and only those
-get the exact squared-distance test.  It runs over a block of consecutive
-ticks of the trace at a time, in a fixed number of array operations per
-sweep offset; the encounter/departure state machine
-advances tick by tick and keeps state for open contacts only, so a tick
-with neither pairs nor open contacts costs it nothing.
+Contact detection never looks at all n^2 pairs of a tick.  It runs over a
+block of consecutive ticks of the trace at a time, and starts with a broad
+phase: each node's bounding box over the block, padded by the range, and
+the pairs whose boxes overlap on x and on y (one sort and one search over
+the box minima).  A block with at most as many such pairs as nodes, as in
+a sparse arena, gets the exact squared-distance test on those pairs alone,
+at every tick of the block.  Any other block, where nodes crowd or roam,
+takes a sort on x at every tick and a sweep over the x neighbours within
+range, keeping the pairs whose x gap and y gap are both within range, and
+the exact test on those, in a fixed number of array operations per sweep
+offset.  Both candidate sets are conservative supersets.  Both paths stay
+because each is the faster one on some input: the box path where boxes
+rarely overlap, the sweep where they overlap widely.  The
+encounter/departure state machine advances tick by tick and keeps state
+for open contacts only, so a tick with neither pairs nor open contacts
+costs it nothing.
 
 Routing state is Python-int bitmasks, bit ``r`` standing for the r-th
 message in ascending id order: per node the messages it buffers (``held``)
@@ -242,14 +250,28 @@ class ContactTracker:
     range, with the departure stamped at the first missed tick.
 
     Only open contacts are stored.  The in-range pairs are found a block of
-    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`): one sort of
-    every tick's nodes by x, then a sweep over growing sorted-order offsets
-    that keeps the pairs whose x gap and y gap are both within range (a
-    conservative superset), and the exact squared-distance test on those
-    candidates only.  The sweep stops at the first offset where no tick has
-    a pair within range on x, and each offset is a fixed number of array
-    operations over the whole block, so a block costs a sort plus that
-    many offsets, not n^2 per tick.
+    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`), by one of two
+    paths, each of which finds a conservative superset of the in-range
+    pairs and applies the exact squared-distance test to it alone:
+
+    * Box path: each node's bounding box over the block, padded by the
+      sweep's reach, and the pairs whose boxes overlap on x and on y, from
+      one sort of the box minima on x and one search for each node's run
+      of x overlaps.  The exact test runs on those pairs at every tick.
+    * Sweep: one sort of every tick's nodes by x, then a sweep over growing
+      sorted-order offsets that keeps the pairs whose x gap and y gap are
+      both within range.  It stops at the first offset where no tick has a
+      pair within range on x, and each offset is a fixed number of array
+      operations over the whole block.
+
+    A block takes the box path when its boxes overlap in at most as many
+    pairs as there are nodes (a sparse block: the paper's 200 nodes with a
+    3 m range in 1000x1500 m), and the sweep otherwise (crowded or roaming
+    nodes, whose boxes overlap in nearly every pair).  Each path is the
+    faster on its own side of that rule, so both stay, and the rule reads
+    the block alone.  A block whose boxes overlap on x alone in more pairs
+    than it has node samples also takes the sweep, so that no array of the
+    box path outgrows the block.
     """
 
     def __init__(
@@ -259,15 +281,16 @@ class ContactTracker:
         self.positions = positions
         self.range_sq = comm_range * comm_range
         self.limit = missed_hello_limit
-        # Sweep reach on x and y.  A pair passing the exact test in _detect
-        # has fl(dx*dx) <= range_sq and fl(dy*dy) <= range_sq (a sum of two
-        # non-negative terms rounds to no less than either), so each gap is
-        # at most sqrt(range_sq) times (1 + a few ulps), plus under 1e-161
-        # where its square underflows.  The padding covers both: the sweep
-        # may admit extra candidates but never drops an in-range pair.
+        # Reach on x and y of the sweep and of the boxes.  A pair passing the
+        # exact test has fl(dx*dx) <= range_sq and fl(dy*dy) <= range_sq (a
+        # sum of two non-negative terms rounds to no less than either), so
+        # each gap is at most sqrt(range_sq) times (1 + a few ulps), plus
+        # under 1e-161 where its square underflows.  The padding covers both:
+        # either path may admit extra candidates but never drops an in-range
+        # pair.
         self.reach = math.sqrt(self.range_sq) * (1.0 + 1e-9) + 1e-150
         #: ticks per detection block
-        self.block_ticks = max(1, BLOCK_SAMPLES // positions.shape[1])
+        self.block_ticks = max(1, BLOCK_SAMPLES // max(1, positions.shape[1]))
         #: in-range pairs of ticks block_start, block_start + 1, ...
         self._block: list[list[tuple[NodeId, NodeId]]] = []
         self._block_start = 0
@@ -278,6 +301,67 @@ class ContactTracker:
         """In-range pairs, ascending ``(u, v)`` with ``u < v``, of each tick
         of the block starting at ``start``."""
         block = self.positions[start : start + self.block_ticks]
+        candidates = self._box_candidates(block)
+        if candidates is None:
+            row, u, v = self._sweep_pairs(block)
+        else:
+            row, u, v = self._box_pairs(block, *candidates)
+        pairs = list(zip(u.tolist(), v.tolist()))
+        ends = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
+        self._block = [pairs[s:e] for s, e in zip([0] + ends, ends)]
+        self._block_start = start
+
+    def _box_candidates(self, block: np.ndarray):
+        """Pairs ``(u, v)``, ``u < v``, ascending, whose bounding boxes over
+        the block, each padded by ``reach``, overlap on both x and y; None
+        (take the sweep) when there are more of them than nodes, or more
+        overlaps on x alone than the block has node samples.
+
+        Conservative, with ``lo`` and ``hi`` a box's corners before padding:
+        if a pair passes the exact test at tick t, then ``lo_b <= x_b(t) <=
+        fl(x_a(t) + reach)`` (the reach argument in ``__init__``) ``<=
+        fl(hi_a + reach)`` (rounding is monotonic); the same holds with a
+        and b swapped, and on y.
+        """
+        ticks, n = block.shape[:2]
+        (lo_x, lo_y), (top_x, top_y) = block.min(axis=0).T, (block.max(axis=0) + self.reach).T
+        # With nodes ranked by box minimum on x, the boxes of p < q overlap
+        # on x iff lo_x[q] <= top_x[p] (lo_x[p] <= lo_x[q] <= top_x[q]
+        # holds anyway), so p's x overlaps form the run p + 1 ... end[p] - 1.
+        order = np.argsort(lo_x)
+        end = np.searchsorted(lo_x[order], top_x[order], side="right")
+        runs = end - np.arange(1, n + 1)
+        total = int(runs.sum())
+        # no array here may outgrow the block, as the sweep's do not
+        if total > ticks * n:
+            return None
+        p = np.repeat(np.arange(n), runs)
+        q = np.arange(total) + np.repeat(end - np.cumsum(runs), runs)
+        a, b = order[p], order[q]
+        keep = (lo_y[b] <= top_y[a]) & (lo_y[a] <= top_y[b])
+        if np.count_nonzero(keep) > n:
+            return None
+        a, b = a[keep], b[keep]
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        ranked = np.lexsort((v, u))
+        return u[ranked], v[ranked]
+
+    def _box_pairs(self, block: np.ndarray, u: np.ndarray, v: np.ndarray):
+        """``(tick, u, v)`` of the candidates within range at each tick of
+        the block, by the exact test; in that order, as the candidates are
+        ascending."""
+        d = np.take(block, u, axis=1) - np.take(block, v, axis=1)
+        d *= d
+        # the same two squares added x then y as the sweep's
+        # (d * d).sum(axis=1), so the same bits; that sum over a length-2
+        # axis costs several times more
+        near = d[..., 0] + d[..., 1] <= self.range_sq
+        row, c = np.divmod(np.flatnonzero(near), len(u))
+        return row, u[c], v[c]
+
+    def _sweep_pairs(self, block: np.ndarray):
+        """``(tick, u, v)`` of the block's in-range pairs, ascending, by a
+        sort on x and a sweep over growing sorted-order offsets."""
         ticks, n = block.shape[:2]
         # Ties in x may sort either way: each unordered pair still sits at
         # exactly one offset, and the pairs are ranked below.
@@ -311,10 +395,7 @@ class ContactTracker:
         b = np.concatenate(seconds)
         u, v = np.minimum(a, b), np.maximum(a, b)
         ranked = np.lexsort((v, u, row))
-        pairs = list(zip(u[ranked].tolist(), v[ranked].tolist()))
-        ends = np.cumsum(np.bincount(row, minlength=ticks)).tolist()
-        self._block = [pairs[s:e] for s, e in zip([0] + ends, ends)]
-        self._block_start = start
+        return row[ranked], u[ranked], v[ranked]
 
     def update(self, tick_index: int, now: float):
         """Returns (events, in-range pairs) for tick ``tick_index`` at ``now``.
