@@ -9,16 +9,16 @@ the event log.  Routing never feeds back into the timeline, so
 the sweep cells that differ only in ``protocol`` and ``ttl`` share one
 timeline and run in lockstep: each tick the timeline advances once, then
 steps every attached simulation that has not finished and routes or may end
-on the tick: a tick with in-range pairs, its settle tick (the first at or
-after the expiry time of its last message not delivered, where it resolves
-its last message unless a delivery did first) or its last trace tick.  A
-step first catches up the ticks skipped since the last one: it injects
-every message due by now and expires every message due by the previous
-tick, a logged step one skipped tick at a time, so that each GEN and EXP
-line is written at its own tick.  Nothing reads the masks between steps
-and a message expires on a later tick than it is injected, so each step
-routes on the masks that a run stepped on every tick would route on, and
-each run ends on the same tick.
+on the tick: a tick with in-range pairs, its settle tick (the expiry tick
+of its last message not delivered, where it resolves its last message
+unless a delivery did first) or its last trace tick.  A step reads what
+every tick up to now injected, expired and turned stale from the
+workload's lanes (see below), so it needs no catch-up of the ticks it
+skipped; a logged step writes the GEN and EXP lines of each skipped tick,
+oldest first, at that tick's time.  No message moves between steps and a
+message expires on a later tick than it is injected, so each step routes
+on the masks that a run stepped on every tick would route on, and each run
+ends on the same tick.
 No per-tick state is stored.  A Simulation built without a timeline gets
 one of its own, which is the same code path.
 
@@ -26,8 +26,8 @@ Each tick: advance positions, detect contacts (first-hello encounter,
 missed-hello departure) and update contact windows; where needed (see
 below) compute the link weights, exchange hellos and maintain the per-node
 social views; then, for each attached simulation that steps on the tick,
-catch up and inject new messages, run the forwarding protocol over every
-in-range pair in ascending pair order, and expire TTLs.  A simulation ends
+run the forwarding protocol over every in-range pair in ascending pair
+order on the live messages, and expire TTLs.  A simulation ends
 when every generated message has been delivered or has no live copy
 anywhere; it fails when its own trace (for a generated trace, the length
 its TTL needs) ends first.
@@ -57,12 +57,20 @@ costs it nothing.
 
 Routing state is Python-int bitmasks, bit ``r`` standing for the r-th
 message in ascending id order: per node the messages it buffers (``held``)
-and those delivered to it (``got``), per destination those addressed to it
-(``toward``, built once per drawn workload), and per message the nodes
-holding it (the transpose of ``held``, which tells an expiry batch the
-nodes to clear and the EXP lines to log).  A contact of ``i`` with ``j``
-may move ``held[i] & ~(held[j] | got[j])``.  Expiries due together clear
-one mask of their ranks from the union of their holders.
+and those delivered to it (``got``), and per destination those addressed
+to it (``toward``).  A timeline draws its workload once and every TTL
+shares the draw: the ranks, ``toward``, the injection lane (each message's
+injection tick, in injection order) and the table ``born[k]`` of the ranks
+of the first k injections.  A TTL adds two lanes of tick indices, expiry
+and the first stale tick, which at one TTL keep the injection order and
+so index the same table.  A bisect on a lane and a table read give the
+messages injected, expired or stale by any tick, and a step routes on
+``held[i] & live``, with ``live = born & ~(stale | expired)``.  Each node's
+``held`` mask starts with the messages it creates and is never cleared of
+a message that expires, since nothing moves a message that is not live.
+A contact of ``i`` with ``j`` may move the live messages of ``held[i] &
+~(held[j] | got[j])``.  A run has resolved every message when ``delivered
+| expired`` holds them all.
 
 Link weights live in one place, a cache with one slot per unordered pair
 that has met: contacts are symmetric, so both ends see the same weight, and
@@ -352,9 +360,9 @@ class ContactTracker:
         ascending."""
         d = np.take(block, u, axis=1) - np.take(block, v, axis=1)
         d *= d
-        # the same two squares added x then y as the sweep's
-        # (d * d).sum(axis=1), so the same bits; that sum over a length-2
-        # axis costs several times more
+        # the two squares added x then y, as the sweep adds them: the bits
+        # of (d * d).sum(axis=1), which costs several times more over a
+        # length-2 axis
         near = d[..., 0] + d[..., 1] <= self.range_sq
         row, c = np.divmod(np.flatnonzero(near), len(u))
         return row, u[c], v[c]
@@ -369,6 +377,9 @@ class ContactTracker:
         # each tick's positions in x order
         by_x = np.take(block.reshape(-1, 2), order + np.arange(0, ticks * n, n)[:, None], axis=0)
         xs, ys = by_x[:, :, 0], by_x[:, :, 1]
+        # flat views, gathered from by np.take, which costs less than fancy
+        # indexing on (row, p)
+        flat, flat_order = by_x.reshape(-1, 2), order.ravel()
         reach = xs + self.reach
         # Sorted position p pairs with q = p + k when xs[q] <= xs[p] + reach
         # and |ys[q] - ys[p]| <= reach, the magnitude of the exact test's y
@@ -383,13 +394,16 @@ class ContactTracker:
             near &= np.abs(ys[:, k:] - ys[:, :-k]) <= self.reach
             # np.nonzero of a 2-d mask costs several times more
             row, p = np.divmod(np.flatnonzero(near), n - k)
-            # squares are exact under negation, so the orientation of d is moot
-            d = by_x[row, p] - by_x[row, p + k]
-            hit = (d * d).sum(axis=1) <= self.range_sq
-            row, p = row[hit], p[hit]
-            rows.append(row)
-            firsts.append(order[row, p])
-            seconds.append(order[row, p + k])
+            at = row * n + p
+            # squares are exact under negation, so the orientation of d is
+            # moot; the squares added x then y, as in _box_pairs
+            d = np.take(flat, at, axis=0) - np.take(flat, at + k, axis=0)
+            d *= d
+            hit = d[:, 0] + d[:, 1] <= self.range_sq
+            at = at[hit]
+            rows.append(row[hit])
+            firsts.append(np.take(flat_order, at))
+            seconds.append(np.take(flat_order, at + k))
         row = np.concatenate(rows)
         a = np.concatenate(firsts)
         b = np.concatenate(seconds)
@@ -514,65 +528,129 @@ def _check_messages(messages: Sequence[Message], node_count: int) -> None:
         seen.add(m.id)
 
 
+#: a lane tick index no trace reaches; every product ``i * tick`` up to it is
+#: a float computed exactly from ``i``
+_NEVER = 2**53
+
+
+def _first_ticks(reached, start: np.ndarray, tick: float) -> np.ndarray:
+    """Per element, the least tick index ``i >= 0`` (at most :data:`_NEVER`)
+    at which ``reached(i * tick)`` holds, for a ``reached`` that, once it
+    holds, holds at every later time; searched from the estimate ``start``.
+
+    ``i * tick`` is computed as :meth:`Timeline._tick` computes ``now``, and
+    the search steps one tick at a time, so each index is the one that
+    scanning the tick grid finds."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        i = np.clip(np.ceil(start / tick), 0, _NEVER).astype(np.int64)
+        while True:
+            back = (i > 0) & reached((i - 1) * tick)
+            if not back.any():
+                break
+            i -= back
+        while True:
+            ahead = (i < _NEVER) & ~reached(i * tick)
+            if not ahead.any():
+                return i
+            i += ahead
+
+
+def _prefix_masks(ranks: Sequence[int]) -> list[int]:
+    """``masks[k]``: the mask of ``ranks[:k]``, for ``k = 0 .. len(ranks)``."""
+    masks, acc = [0], 0
+    for r in ranks:
+        acc |= 1 << r
+        masks.append(acc)
+    return masks
+
+
+@dataclass(frozen=True)
+class _Lane:
+    """Messages in the order they fall due.
+
+    The k-th falls due at tick index ``at[k]`` (ascending, then an ``inf``
+    sentinel) and has rank ``rank[k]``; ``due[k]`` masks the ranks of the
+    first k.  So ``bisect_right(at, i)`` messages fall due by tick ``i``,
+    and ``due`` at that index masks them: a bisect and a table read.
+    """
+
+    at: list
+    rank: list[int]
+    due: list[int]
+
+
 @dataclass(frozen=True)
 class _Schedule:
-    """A message workload in injection order and by rank (ascending id);
-    ``rank`` maps an id to its rank and ``toward[d]`` masks the ranks of the
-    messages addressed to node ``d``.
+    """One drawn message workload, shared by every TTL it runs at.
 
-    The lanes are flat lists in injection order (``inject_*``) and in expiry
-    order (``expire_*``).  ``inject_at`` and ``expire_at`` hold ascending
-    times, then an ``inf`` sentinel: an entry is due on the first tick
-    index ``i >= 0`` with ``at <= i * tick``, so a step bisects a lane for
-    the entries due by a tick.  The other lanes hold each message's rank
-    and source.
+    ``messages`` holds it in injection order (creation time, then id) and
+    ``ranked`` by rank (ascending id); ``rank`` maps an id to its rank,
+    ``toward[d]`` masks the ranks of the messages addressed to node ``d``
+    and ``sources[s]`` those that node ``s`` creates.  The ``inject`` lane
+    takes the messages in injection order, each due at the first tick
+    ``i >= 0`` with ``created_at <= i * tick``; its ``due`` table, the
+    ranks of the first k injections, is the table that every lane in the
+    same order shares.  A TTL adds only the two lanes of :meth:`lanes`.
     """
 
     messages: list[Message]
     ranked: list[Message]
     rank: dict[int, int]
     toward: list[int]
-    inject_at: list[float]
-    inject_rank: list[int]
-    inject_src: list[int]
-    expire_at: list[float]
-    expire_rank: list[int]
+    sources: list[int]
+    inject: _Lane
+    tick: float
+    #: each message's creation time, in injection order
+    created: np.ndarray
 
     @classmethod
-    def of(
-        cls,
-        messages: Sequence[Message],
-        tick: float,
-        node_count: int,
-        like: "_Schedule | None" = None,
-    ) -> "_Schedule":
-        """``like``, the same draw at another TTL, lends what the TTL does not
-        change: ``rank``, ``toward`` and the injection lanes."""
+    def of(cls, messages: Sequence[Message], tick: float, node_count: int) -> "_Schedule":
         ordered = sorted(messages, key=lambda m: (m.created_at, m.id))
         ranked = sorted(ordered, key=lambda m: m.id)
-        if like is None:
-            rank = {m.id: r for r, m in enumerate(ranked)}
-            toward = [0] * node_count
-            for r, m in enumerate(ranked):
-                toward[m.dst] |= 1 << r
-            injects = (
-                [m.created_at for m in ordered] + [math.inf],
-                [rank[m.id] for m in ordered],
-                [m.src for m in ordered],
-            )
-        else:
-            rank, toward = like.rank, like.toward
-            injects = (like.inject_at, like.inject_rank, like.inject_src)
-        expiries = sorted((m.created_at + m.ttl + tick, m.id) for m in ordered)
-        return cls(
-            ordered,
-            ranked,
-            rank,
-            toward,
-            *injects,
-            [at for at, _ in expiries] + [math.inf],
-            [rank[mid] for _, mid in expiries],
+        rank = {m.id: r for r, m in enumerate(ranked)}
+        toward, sources = [0] * node_count, [0] * node_count
+        for r, m in enumerate(ranked):
+            toward[m.dst] |= 1 << r
+            sources[m.src] |= 1 << r
+        created = np.array([m.created_at for m in ordered], dtype=float)
+        at = _first_ticks(lambda now: created <= now, created, tick)
+        ranks = [rank[m.id] for m in ordered]
+        inject = _Lane(at.tolist() + [math.inf], ranks, _prefix_masks(ranks))
+        return cls(ordered, ranked, rank, toward, sources, inject, tick, created)
+
+    def _lane(self, at: np.ndarray, order: np.ndarray) -> _Lane:
+        """The messages due at tick ``at`` (injection order), in ``order``;
+        it shares the injection lane's table where ``order`` keeps theirs."""
+        at = at[order].tolist() + [math.inf]
+        if np.array_equal(order, np.arange(len(order))):
+            return _Lane(at, self.inject.rank, self.inject.due)
+        ranks = [self.inject.rank[k] for k in order.tolist()]
+        return _Lane(at, ranks, _prefix_masks(ranks))
+
+    def lanes(self, ttl: float | np.ndarray) -> tuple[_Lane, _Lane]:
+        """The expiry and stale lanes at ``ttl``, one TTL or each message's
+        (in injection order).
+
+        A message expires on the first tick ``i`` with ``created_at + ttl +
+        tick <= i * tick``; expiries due together are taken, as their EXP
+        lines are written, by that time and then by id.  It turns stale,
+        and routing stops moving it, on the first tick with ``i * tick -
+        created_at > ttl`` (where :meth:`Message.is_live` turns False).
+        At one TTL both lanes keep the injection order, so both share its
+        table, unless two expiry times that differ before rounding are
+        equal after it.
+        """
+        created, tick = self.created, self.tick
+        with np.errstate(over="ignore", invalid="ignore"):
+            expire_at = created + ttl + tick
+            stale_at = created + ttl
+        expiry = self._lane(
+            _first_ticks(lambda now: expire_at <= now, expire_at, tick),
+            # ranks ascend with ids
+            np.lexsort((self.inject.rank, expire_at)),
         )
+        stale = _first_ticks(lambda now: now - created > ttl, stale_at, tick)
+        return expiry, self._lane(stale, np.argsort(stale, kind="stable"))
 
 
 #: weight-cache arrays, indexed by slot: attribute -> (dtype, fill for
@@ -686,7 +764,8 @@ class Timeline:
             self.trace.positions, config.comm_range, config.missed_hello_limit
         )
 
-        self._dirty = np.zeros(config.node_count, dtype=bool)
+        #: the nodes the next hello phase maintains
+        self._dirty: set[NodeId] = set()
         # Weight cache: one slot per unordered pair (u, v) that has met, in
         # creation order; nodes[u].slots[v] and nodes[v].slots[u] both name
         # it.  Slot arrays have spare capacity beyond len(self._slot_win);
@@ -713,7 +792,9 @@ class Timeline:
         self._active: list[Simulation] = []
         #: whether the social layer runs; set when the timeline starts
         self._social = True
-        self._schedules: dict[float, _Schedule] = {}
+        #: the seeded workload, drawn once, and its lanes per TTL
+        self._draw: _Schedule | None = None
+        self._lanes: dict[float, tuple[_Lane, _Lane]] = {}
         #: the pairs in range at the last hello phase, the nodes among them,
         #: and the (sender, receiver) pairs whose staged advertisement the
         #: last maintain dropped while they were in range
@@ -721,7 +802,7 @@ class Timeline:
         self._speakers: set[NodeId] = set()
         self._restage: list[tuple[NodeId, NodeId]] = []
         #: no active simulation steps on a pair-free tick before the earliest
-        #: settle time or last tick among them (see _tick)
+        #: settle tick or last tick among them (see _tick)
         self._wake_at = self._wake_end = -math.inf
 
     def _trace_end(self, config: SimConfig) -> int:
@@ -743,22 +824,15 @@ class Timeline:
             end = own
         return end
 
-    def _schedule(self, config: SimConfig) -> _Schedule:
-        """The seeded workload at ``config.ttl``, drawn once per timeline."""
-        schedule = self._schedules.get(config.ttl)
-        if schedule is None:
-            like = None
-            if self._schedules:
-                # the same draw at another TTL: same ids, endpoints and order
-                like = next(iter(self._schedules.values()))
-                messages = [
-                    Message(m.id, m.src, m.dst, m.created_at, config.ttl) for m in like.messages
-                ]
-            else:
-                messages = schedule_messages(config)
-            schedule = _Schedule.of(messages, config.tick, config.node_count, like)
-            self._schedules[config.ttl] = schedule
-        return schedule
+    def _schedule(self, config: SimConfig) -> tuple[_Schedule, tuple[_Lane, _Lane]]:
+        """The seeded workload, drawn once per timeline, and its lanes at
+        ``config.ttl``."""
+        if self._draw is None:
+            self._draw = _Schedule.of(schedule_messages(config), config.tick, config.node_count)
+        lanes = self._lanes.get(config.ttl)
+        if lanes is None:
+            lanes = self._lanes[config.ttl] = self._draw.lanes(config.ttl)
+        return self._draw, lanes
 
     # -- weight cache ------------------------------------------------------------
 
@@ -825,10 +899,10 @@ class Timeline:
         if len(flipped):
             self._was_friend[flipped] = friends[flipped]
             # both ends' friend-slot maps change; mark them dirty and rebuild
-            rows = self._row[flipped].ravel()
-            self._dirty[rows] = True
+            rows = set(self._row[flipped].ravel().tolist())
+            self._dirty |= rows
             was_friend = self._was_friend
-            for i in set(rows.tolist()):
+            for i in rows:
                 node = self.nodes[i]
                 node.friends = {j: s for j, s in node.slots.items() if was_friend[s]}
 
@@ -848,7 +922,7 @@ class Timeline:
                 slot = self._new_slot(u, v)
                 # a new peer changes both ends' maintain iteration sets even
                 # without a threshold flip
-                self._dirty[u] = self._dirty[v] = True
+                self._dirty.update((u, v))
             win = self._slot_win[slot]
             if ev.kind is ContactEventKind.ENCOUNTER:
                 win.record_encounter(ev.time)
@@ -922,21 +996,22 @@ class Timeline:
                     sends.extend((x, y) for y in node.hearers)
             for x, y in sends:
                 if nodes[y].view.apply_hello(nodes[x].payload):
-                    dirty[y] = True
+                    dirty.add(y)
 
         threshold = self.cfg.threshold
         restage = self._restage
-        for i in np.flatnonzero(dirty).tolist():
+        for i in sorted(dirty):
             node = nodes[i]
             view = node.view
             # slots are never retired, so their count tells a new peer, and
             # node.friends is replaced whenever the friends change
-            dirty[i] = view.maintain(
+            if not view.maintain(
                 now,
                 threshold=threshold,
                 weights=_SlotWeights(self, node.slots),
                 basis=(len(node.slots), node.friends),
-            )
+            ):
+                dirty.discard(i)
             staged = view._advertised
             for x in node.hearers:
                 if x not in staged:
@@ -971,21 +1046,21 @@ class Timeline:
             raise
         self._next_tick = idx + 1
         # a pair-free tick steps no simulation before the earliest settle
-        # time or last tick among them
-        if not (pairs or now >= self._wake_at or idx + 1 >= self._wake_end):
+        # tick or last tick among them
+        if not (pairs or idx >= self._wake_at or idx + 1 >= self._wake_end):
             return
         finished, wake_at, wake_end = False, math.inf, math.inf
         for sim in self._active:
             # a simulation steps only where it routes or may end: a tick with
-            # pairs, its settle tick or its last tick; the step catches up
-            # the injections and expiries of the ticks it skipped
-            if pairs or now >= sim._settle or idx + 1 >= sim._end:
+            # pairs, its settle tick or its last tick; the step reads the
+            # injections and expiries of the ticks it skipped from its lanes
+            if pairs or idx >= sim._settle or idx + 1 >= sim._end:
                 try:
                     finished |= sim._step(idx, now, pairs)
                 except Exception as exc:
                     sim._finish(exc)
                     finished = True
-            # a step moves a settle time only where it delivers; one that
+            # a step moves a settle tick only where it delivers; one that
             # finished only makes the next pair-free tick check again
             if sim._settle < wake_at:
                 wake_at = sim._settle
@@ -1016,11 +1091,11 @@ class Timeline:
         self._apply_contact_events(events, now)
         self._due_refreshes(now)
         dirty = self._dirty
-        if pairs or events or now >= self._weigh_by or (hello and dirty.any()):
+        if pairs or events or now >= self._weigh_by or (hello and dirty):
             # a pass on a tick with pairs leaves the next tick's pass due,
             # so only a pair-free tick pays for the bound
             self._compute_weights(now, bound=not pairs)
-        if hello and (pairs or dirty.any()):
+        if hello and (pairs or dirty):
             self._hello_and_maintain(pairs, now)
 
 
@@ -1037,11 +1112,13 @@ def shared_timeline(configs: Sequence[SimConfig]) -> Timeline:
 class Simulation:
     """One seeded run.  Build it, call :meth:`run` once.
 
-    ``held[i]`` and ``got[i]`` mask the messages node ``i`` buffers and has
+    :attr:`held` and ``got[i]`` mask the messages node ``i`` buffers and has
     had delivered (see the module docstring).  A simulation steps only on
-    some ticks and catches up the rest on its next step, so mid-run
-    ``held``, ``got``, :attr:`holders` and ``now`` show its last step; after
-    :meth:`run` they are what they would be had it stepped on every tick.
+    some ticks and reads what the rest did on its next step, so mid-run
+    :attr:`held`, ``got``, :attr:`holders`, :attr:`delivered` and ``now``
+    show its last step; after :meth:`run` they are what they would be had it
+    stepped on every tick.  :attr:`messages` is the workload in injection
+    order: the messages given, or the timeline's draw at this run's TTL.
     Without ``timeline`` the simulation gets a timeline of its own; with one
     (see :func:`shared_timeline`) it joins that timeline's lockstep pass, and
     ``trace`` must be left out.  ``nodes`` (views and weight slots) belong
@@ -1071,38 +1148,44 @@ class Simulation:
         elif trace is not None:
             raise ValueError("a simulation joining a timeline replays the timeline's trace")
         self._end = timeline._trace_end(config)
-        schedule = (
-            timeline._schedule(config)
-            if messages is None
-            else _Schedule.of(messages, config.tick, config.node_count)
-        )
+        if messages is None:
+            schedule, (self._expiry, self._stale) = timeline._schedule(config)
+            # the drawn messages carry the TTL of the config that drew them
+            own = schedule.messages[0].ttl == config.ttl
+        else:
+            schedule = _Schedule.of(messages, config.tick, config.node_count)
+            self._expiry, self._stale = schedule.lanes(
+                np.array([m.ttl for m in schedule.messages], dtype=float)
+            )
+            own = True
         self.timeline = timeline
         self.trace = timeline.trace
         self.nodes = timeline.nodes
-        self.messages = schedule.messages
         self._schedule = schedule
+        #: ``messages``, or None until it is first read
+        self._messages = schedule.messages if own else None
 
         n = config.node_count
         # Masks, not sets: a sweep keeps every cell's simulation alive at
         # once, and a set (or a dict entry) per message would dominate its
-        # memory.  _holders is held's transpose, per message rank.
-        self.held = [0] * n
+        # memory.  Each node's mask starts with the messages it creates; a
+        # step reads only the live ones (see _step).
+        self._held = list(schedule.sources)
         self.got = [0] * n
-        self.delivered: set[int] = set()
-        #: ``delivered`` as a mask of ranks
+        #: the delivered messages, as a mask of ranks
         self._delivered = 0
-        self._holders = [0] * len(self.messages)
         #: per node, (view stamp, RelayContext) as last built (see _relay_context)
         self._contexts: list[tuple[tuple | None, RelayContext] | None] = [None] * n
         self.total_forwards = 0
-        self._unresolved = len(self.messages)
-        self._next_inject = 0
-        self._next_expiry = 0
+        #: messages injected, expired and stale by the last step, as counts
+        #: of their lanes, and the messages logged so far by GEN and EXP lines
+        self._injected = self._expired = self._staled = 0
+        self._gens = self._exps = 0
         #: the expiry-lane index of the last message not delivered
-        self._last_live = len(self.messages) - 1
-        #: its expiry time: unless deliveries resolve every message first,
-        #: the run resolves its last one on the first tick at or after this
-        self._settle = schedule.expire_at[self._last_live]
+        self._last_live = len(schedule.ranked) - 1
+        #: its expiry tick: unless deliveries resolve every message first,
+        #: the run resolves its last one on this tick
+        self._settle = self._expiry.at[self._last_live]
         self.now = 0.0
         #: the index of the last tick stepped
         self._stepped = -1
@@ -1122,13 +1205,42 @@ class Simulation:
         timeline._active.append(self)
 
     @property
+    def messages(self) -> list[Message]:
+        """The workload in injection order (creation time, then id)."""
+        if self._messages is None:
+            ttl = self.cfg.ttl
+            self._messages = [
+                Message(m.id, m.src, m.dst, m.created_at, ttl) for m in self._schedule.messages
+            ]
+        return self._messages
+
+    @property
+    def held(self) -> list[int]:
+        """Per node, the mask of the messages it buffers, as of the last step."""
+        present = self._schedule.inject.due[self._injected] & ~self._expiry.due[self._expired]
+        return [mask & present for mask in self._held]
+
+    @property
     def holders(self) -> dict[int, set[NodeId]]:
         """Message id -> nodes buffering a copy, for every message injected,
         as of the last step (see the class docstring)."""
+        held, ranked = self.held, self._schedule.ranked
         return {
-            m.id: set(bits(self._holders[self._schedule.rank[m.id]]))
-            for m in self.messages[: self._next_inject]
+            ranked[r].id: {i for i, mask in enumerate(held) if mask >> r & 1}
+            for r in bits(self._schedule.inject.due[self._injected])
         }
+
+    @property
+    def delivered(self) -> set[int]:
+        """The ids of the messages delivered, as of the last step."""
+        ranked = self._schedule.ranked
+        return {ranked[r].id for r in bits(self._delivered)}
+
+    @property
+    def _unresolved(self) -> int:
+        """Messages neither delivered nor expired, as of the last step."""
+        resolved = self._delivered | self._expiry.due[self._expired]
+        return len(self._schedule.ranked) - resolved.bit_count()
 
     # -- logging ---------------------------------------------------------------
 
@@ -1136,36 +1248,44 @@ class Simulation:
         if self._log_fh is not None:
             self._log_fh.write(f"{now!r},{kind},{msg_id},{frm},{to}\n")
 
+    def _log_injections(self, idx: int) -> None:
+        """The GEN line of each message injected on tick ``idx``."""
+        k = self._gens
+        end = bisect_right(self._schedule.inject.at, idx, k)
+        if end > k:
+            now, write = idx * self.cfg.tick, self._log_fh.write
+            for m in self._schedule.messages[k:end]:
+                write(f"{now!r},GEN,{m.id},{m.src},{m.dst}\n")
+            self._gens = end
+
+    def _log_expiries(self, idx: int) -> None:
+        """The EXP lines of each message expiring on tick ``idx``, one per
+        node holding it, ascending."""
+        k, lane = self._exps, self._expiry
+        end = bisect_right(lane.at, idx, k)
+        if end > k:
+            by, write = idx * self.cfg.tick, self._log_fh.write
+            held, ranked = self._held, self._schedule.ranked
+            for r in lane.rank[k:end]:
+                mid = ranked[r].id
+                for i, mask in enumerate(held):
+                    if mask >> r & 1:
+                        write(f"{by!r},EXP,{mid},{i},-1\n")
+            self._exps = end
+
     # -- routing phases ----------------------------------------------------------
 
-    def _inject(self, now: float) -> None:
-        """Inject every message due by ``now``.  A logged run calls this on
-        every tick, so each GEN line is written at its message's own tick."""
-        schedule, k = self._schedule, self._next_inject
-        if schedule.inject_at[k] > now:
-            return
-        end = bisect_right(schedule.inject_at, now, k)
-        held, holders = self.held, self._holders
-        for r, src in zip(schedule.inject_rank[k:end], schedule.inject_src[k:end]):
-            holders[r] = 1 << src
-            held[src] |= 1 << r
-        if self._log_fh is not None:
-            write = self._log_fh.write
-            for m in self.messages[k:end]:
-                write(f"{now!r},GEN,{m.id},{m.src},{m.dst}\n")
-        self._next_inject = end
-
-    def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float) -> None:
-        protocol, held, got = self.cfg.protocol, self.held, self.got
+    def _route(self, pairs: list[tuple[NodeId, NodeId]], now: float, live: int) -> None:
+        protocol, held, got = self.cfg.protocol, self._held, self.got
         for u, v in pairs:
             for i, j in ((u, v), (v, u)):
-                mine = held[i]
+                mine = held[i] & live
                 if not mine:
                     continue
                 missing = mine & ~(held[j] | got[j])
                 if not missing:
                     continue
-                actions = decide(protocol, self._relay_context(i), j, missing, now)
+                actions = decide(protocol, self._relay_context(i), j, missing)
                 self._apply_actions(i, j, actions, now)
 
     def _relay_context(self, i: NodeId) -> RelayContext:
@@ -1210,7 +1330,7 @@ class Simulation:
     def _apply_actions(
         self, i: NodeId, j: NodeId, actions: list[ForwardAction], now: float
     ) -> None:
-        held, rank = self.held, self._schedule.rank
+        held, rank = self._held, self._schedule.rank
         for act in actions:
             mid = act.message_id
             r = rank[mid]
@@ -1219,89 +1339,65 @@ class Simulation:
                 self._log(now, "DLV", mid, i, j)
                 # once only: no later contact's missing mask has it (got)
                 self.got[j] |= 1 << r
-                self.delivered.add(mid)
                 self._delivered |= 1 << r
-                # resolved: a delivered message is never counted at expiry
-                self._unresolved -= 1
             else:
                 # never the destination: decide delivers to it instead
                 self._log(now, "FWD", mid, i, j)
                 held[j] |= 1 << r
-                self._holders[r] |= 1 << j
                 if act.action is Action.FORWARD_AND_DELETE:
                     held[i] &= ~(1 << r)
-                    self._holders[r] &= ~(1 << i)
-
-    def _expire(self, by: float) -> None:
-        """Expire every message due by ``by`` in one batch: clear their ranks
-        from every node that holds one.  A logged run calls this on every
-        tick, so each EXP line is written at its message's own tick."""
-        schedule, k = self._schedule, self._next_expiry
-        if schedule.expire_at[k] > by:
-            return
-        end = bisect_right(schedule.expire_at, by, k)
-        held, holders, gone, spread = self.held, self._holders, 0, 0
-        log, ranked = self._log_fh, schedule.ranked
-        for r in schedule.expire_rank[k:end]:
-            gone |= 1 << r
-            spread |= holders[r]
-            if log is not None:
-                mid = ranked[r].id
-                for i in bits(holders[r]):  # ascending node id
-                    log.write(f"{by!r},EXP,{mid},{i},-1\n")
-            holders[r] = 0
-        keep = ~gone
-        for i in bits(spread):
-            held[i] &= keep
-        # resolved: no copy is left, so it can never be delivered now
-        self._unresolved -= (gone & ~self._delivered).bit_count()
-        self._next_expiry = end
 
     def _step(self, idx: int, now: float, pairs: list[tuple[NodeId, NodeId]]) -> bool:
         """Route one tick of the timeline; True once this run has ended.
 
-        First the step catches up what the ticks skipped since the last one
-        would have done.  A logged step replays each skipped tick, oldest
-        first, through the same injection and expiry calls at that tick's
-        time, so every GEN and EXP line is written at its own tick.  An
-        unlogged step batches them: it injects every message due by ``now``
-        and expires every message due by the previous tick (``(idx - 1) *
-        tick``, the expression that tick compared with).  Nothing reads the
-        masks between steps, and a message expires on a later tick than it
-        is injected, so the masks routed on equal those of a run stepped on
-        every tick.  Then it routes, expires what is due at ``now`` and
-        checks for the end.
+        The lanes tell what every tick up to this one injected, expired and
+        turned stale, so a step reads its masks by table lookup, however
+        many ticks it skipped.  A logged step first writes the GEN and EXP
+        lines of each skipped tick, oldest first, at that tick's time, then
+        this tick's GEN lines.  Routing moves only live messages: injected
+        by now, not stale now and not expired by the previous tick.  No
+        message moves between steps, and a message expires on a later tick
+        than it is injected, so the masks routed on equal those of a run
+        stepped on every tick.  Then the messages due by now expire, and
+        the step checks for the end.
         """
         self.now = now
-        tick = self.cfg.tick
-        if self._log_fh is not None:
+        logged = self._log_fh is not None
+        if logged:
             for t in range(self._stepped + 1, idx):
-                self._inject(t * tick)
-                self._expire(t * tick)
+                self._log_injections(t)
+                self._log_expiries(t)
+            self._log_injections(idx)
         self._stepped = idx
-        self._inject(now)
-        # tick 0 has no tick before it
-        self._expire((idx - 1) * tick if idx else -math.inf)
+        inject, expiry, stale = self._schedule.inject, self._expiry, self._stale
+        self._injected = bisect_right(inject.at, idx, self._injected)
         if pairs:
-            delivered = len(self.delivered)
-            self._route(pairs, now)
-            if len(self.delivered) != delivered:
+            # no lane holds a tick before tick 0
+            self._expired = bisect_right(expiry.at, idx - 1, self._expired)
+            self._staled = bisect_right(stale.at, idx, self._staled)
+            gone = stale.due[self._staled] | expiry.due[self._expired]
+            live = inject.due[self._injected] & ~gone
+            delivered = self._delivered
+            if live:
+                self._route(pairs, now, live)
+            if self._delivered != delivered:
                 # the last message not delivered may now expire earlier; with
                 # none left (j == -1) every message is delivered, and this
                 # step ends the run
-                schedule, j = self._schedule, self._last_live
-                while j >= 0 and self._delivered >> schedule.expire_rank[j] & 1:
+                j = self._last_live
+                while j >= 0 and self._delivered >> expiry.rank[j] & 1:
                     j -= 1
                 self._last_live = j
-                self._settle = schedule.expire_at[j]
-        self._expire(now)
-        if self._unresolved == 0:
+                self._settle = expiry.at[j]
+        self._expired = bisect_right(expiry.at, idx, self._expired)
+        if logged:
+            self._log_expiries(idx)
+        unresolved = self._unresolved
+        if unresolved == 0:
             self._finish(self._metrics())
         elif idx + 1 >= self._end:
             self._finish(
-                TraceExhaustedError(
-                    f"trace ended with {self._unresolved} undecided messages"
-                )
+                TraceExhaustedError(f"trace ended with {unresolved} undecided messages")
             )
         return self._outcome is not None
 
@@ -1328,8 +1424,8 @@ class Simulation:
         return self._outcome
 
     def _metrics(self) -> MetricsReport:
-        generated = len(self.messages)
-        delivered = len(self.delivered)
+        generated = len(self._schedule.ranked)
+        delivered = self._delivered.bit_count()
         ratio = delivered / generated
         cost = self.total_forwards / generated
         defined = cost > 0

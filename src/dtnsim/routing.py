@@ -19,7 +19,8 @@ Every input of a forwarding choice (the two link weights toward the
 destination, the peer's standing against our social network, the centrality
 comparison) depends on the destination alone, so :func:`decide` reaches one
 verdict per destination per contact and applies it to each live message
-toward it that the peer lacks (a bitmask, see :class:`RelayContext`).  Link
+toward it that the peer lacks (a bitmask, see :class:`RelayContext`); the
+caller passes only the messages within their TTL.  Link
 weights are never negative; a destination the peer does not advertise
 (weight 0) therefore never wins on weight, so unless the centrality fallback
 fires only the peer and the destinations it advertises can get a verdict.
@@ -104,6 +105,8 @@ class RelayContext:
     Messages are named by rank: bit ``r`` of a mask stands for
     ``messages[r]``, the r-th message of the workload in ascending id order,
     and ``toward[d]`` has the bits of the messages addressed to ``d``.
+    :func:`decide` reads each message's id and destination alone, never its
+    TTL, so one rank table serves a workload at every TTL.
     ``peer_weights`` and ``peer_centrality`` are the node's caches of what
     its peers last advertised; :func:`decide` reads the contacted peer's
     entries there (absent: no weights, centralities 0).  Every weight here
@@ -195,14 +198,14 @@ def decide(
     ctx: RelayContext,
     peer: NodeId,
     missing: int,
-    now: float,
 ) -> list[ForwardAction]:
     """Forwarding actions for one contact, in ascending message-id order.
 
-    ``missing`` is the mask (see :class:`RelayContext`) of the node's
-    buffered messages that the peer lacks (neither buffers nor has been
-    delivered); each live one is considered.  Direct delivery always wins;
-    otherwise the protocol's conditions apply.
+    ``missing`` is the mask (see :class:`RelayContext`) of the node's live
+    buffered messages (within their TTL) that the peer lacks (neither
+    buffers nor has been delivered); the caller leaves out the rest, so
+    each one is considered.  Direct delivery always wins; otherwise the
+    protocol's conditions apply.
     The peer's advertised weights and centralities come from ``ctx``'s
     caches.  The conditions depend on the destination only, so each
     destination's verdict is reached once per call and shared by its
@@ -240,8 +243,6 @@ def decide(
     actions: list[ForwardAction] = []
     for rank in bits(moving):
         m = messages[rank]
-        if not m.is_live(now):
-            continue
         verdict = verdicts.get(m.dst)
         if verdict is None:
             verdict = verdicts[m.dst] = _verdict(

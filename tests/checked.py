@@ -38,8 +38,6 @@ builds a ``CheckedTimeline``.
 import contextlib
 from dataclasses import replace
 
-import numpy as np
-
 import dtnsim.engine
 from dtnsim.engine import Timeline, _SlotWeights
 from dtnsim.social import SocialNetworkView
@@ -92,7 +90,7 @@ class CheckedTimeline(Timeline):
             node.view = CheckedView(node.id)
         #: views fed by a hello from every in-range pair, and their dirty set
         self._shadows = [ShadowView(node.id) for node in self.nodes]
-        self._shadow_dirty = np.zeros(len(self.nodes), dtype=bool)
+        self._shadow_dirty = set()
         #: the time of the tick being advanced, and the weight list last
         #: checked against the scalar weights at that time
         self._now = None
@@ -137,25 +135,24 @@ class CheckedTimeline(Timeline):
                             {j: weight[s] for j, s in friends.items()}
                         )
                     if shadows[y].apply_hello(payloads[x]):
-                        dirty[y] = True
-        for i in np.flatnonzero(dirty).tolist():
+                        dirty.add(y)
+        for i in sorted(dirty):
             node = self.nodes[i]
-            dirty[i] = shadows[i].maintain(
+            if not shadows[i].maintain(
                 now,
                 threshold=self.cfg.threshold,
                 weights=_SlotWeights(self, node.slots),
                 basis=(len(node.slots), node.friends),
-            )
+            ):
+                dirty.discard(i)
         self._shadow_dirty = dirty
         super()._hello_and_maintain(pairs, now)
 
     def _check_standing(self, now):
         """Every view holds what per-pair hellos would have left there."""
-        dirty = self._dirty.tolist()
-        assert dirty == self._shadow_dirty.tolist(), (
-            f"dirty nodes at t={now}: standing hellos "
-            f"{[i for i, d in enumerate(dirty) if d]}, per-pair hellos "
-            f"{np.flatnonzero(self._shadow_dirty).tolist()}"
+        assert self._dirty == self._shadow_dirty, (
+            f"dirty nodes at t={now}: standing hellos {sorted(self._dirty)}, "
+            f"per-pair hellos {sorted(self._shadow_dirty)}"
         )
         for node, shadow in zip(self.nodes, self._shadows):
             view, where = node.view, f"view of node {node.id} at t={now}"
@@ -177,7 +174,7 @@ class CheckedTimeline(Timeline):
             )
             if not hello:
                 continue
-            if not self._dirty[i]:
+            if i not in self._dirty:
                 twin = copy_view(node.view)
                 weights = {j: weight[s] for j, s in node.slots.items()}
                 assert not reference_maintain(

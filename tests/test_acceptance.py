@@ -206,7 +206,9 @@ def test_criterion_5_forwarding_rule_conformance():
              peer_ceb=0, members=(0,), peer_weights=None, dst=5, peer=9,
              peer_has=frozenset(), now=10.0, expect=None):
         messages, toward, missing = rank_masks(
-            [Message(id=0, src=0, dst=dst, created_at=0.0, ttl=100.0)], peer_has=peer_has
+            [Message(id=0, src=0, dst=dst, created_at=0.0, ttl=100.0)],
+            peer_has=peer_has,
+            now=now,
         )
         ctx = RelayContext(
             node=0,
@@ -224,7 +226,7 @@ def test_criterion_5_forwarding_rule_conformance():
             peer_centrality={peer: PeerRecord(peer_cb, peer_ceb)},
             threshold=0.01,
         )
-        got = decide(protocol, ctx, peer, missing, now)
+        got = decide(protocol, ctx, peer, missing)
         want = [] if expect is None else [ForwardAction(0, expect)]
         return got == want
 

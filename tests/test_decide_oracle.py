@@ -3,10 +3,11 @@
 ``reference_decide`` is the forwarding decision written message by message:
 it walks the whole buffer in id order and evaluates every condition for each
 message.  ``routing.decide`` reaches one verdict per destination over the
-mask of the messages the peer lacks, and visits only the destinations that
-can act; both must return the same list for every protocol on every input,
-given non-negative weights.  Both read the peer's advertised weights and
-centralities from the context's caches.
+mask of the live messages the peer lacks (the engine leaves dead ones out
+of that mask, and so does each call here), and visits only the destinations
+that can act; both must return the same list for every protocol on every
+input, given non-negative weights.  Both read the peer's advertised weights
+and centralities from the context's caches.
 """
 
 import math
@@ -182,10 +183,10 @@ ADVERT = {5: 0.5, 6: 0.0, 7: 0.9, 8: 0.4}
 @given(contacts())
 def test_decide_matches_the_per_message_reference(contact):
     ctx, peer, buffered, peer_has = contact
-    _, _, missing = rank_masks(ctx.messages, buffered, peer_has)
+    _, _, missing = rank_masks(ctx.messages, buffered, peer_has, NOW)
     for protocol in Protocol:
         expected = reference_decide(protocol, ctx, peer, buffered, peer_has, NOW)
-        assert decide(protocol, ctx, peer, missing, NOW) == expected
+        assert decide(protocol, ctx, peer, missing) == expected
 
 
 @settings(max_examples=50)
@@ -195,10 +196,10 @@ def test_consecutive_calls_share_no_verdicts(contacts_in_turn):
     first, _, buffered, _ = contacts_in_turn[0]
     for ctx, peer, _, peer_has in contacts_in_turn:
         ctx.messages, ctx.toward = first.messages, first.toward
-        _, _, missing = rank_masks(ctx.messages, buffered, peer_has)
+        _, _, missing = rank_masks(ctx.messages, buffered, peer_has, NOW)
         for protocol in Protocol:
             expected = reference_decide(protocol, ctx, peer, buffered, peer_has, NOW)
-            assert decide(protocol, ctx, peer, missing, NOW) == expected
+            assert decide(protocol, ctx, peer, missing) == expected
 
 
 rationals = st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40))

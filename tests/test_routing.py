@@ -24,19 +24,25 @@ def msg(mid=0, src=0, dst=5, created=0.0, ttl=100.0):
 NODES = 10
 
 
-def rank_masks(workload, buffered=None, peer_has=()):
+def rank_masks(workload, buffered=None, peer_has=(), now=None):
     """``(messages, toward, missing)`` as :func:`decide` reads them.
 
     ``messages`` is ``workload`` by rank (ascending id), ``toward[d]`` the
     mask of its messages addressed to ``d``, and ``missing`` the mask of
-    the ``buffered`` ids (default: the whole workload) not in ``peer_has``.
+    the ``buffered`` ids (default: the whole workload) not in ``peer_has``
+    and, given ``now``, live then: the engine passes :func:`decide` no
+    message past its TTL.
     """
     messages = sorted(workload, key=lambda m: m.id)
     toward = [0] * NODES
     missing = 0
     for rank, m in enumerate(messages):
         toward[m.dst] |= 1 << rank
-        if (buffered is None or m.id in buffered) and m.id not in peer_has:
+        if (
+            (buffered is None or m.id in buffered)
+            and m.id not in peer_has
+            and (now is None or m.is_live(now))
+        ):
             missing |= 1 << rank
     return messages, toward, missing
 
@@ -100,8 +106,8 @@ def actions_of(protocol, context, peer, advert=None, peer_has=frozenset(), now=1
             peer_weights={**context.peer_weights, sender: weights},
             peer_centrality={**context.peer_centrality, sender: record},
         )
-    _, _, missing = rank_masks(context.messages, peer_has=peer_has)
-    return decide(protocol, context, peer, missing, now)
+    _, _, missing = rank_masks(context.messages, peer_has=peer_has, now=now)
+    return decide(protocol, context, peer, missing)
 
 
 def test_sentinel_weight_orders_above_everything():
