@@ -39,15 +39,18 @@ only detects contacts and routes.  Nothing attaches once a timeline has
 started, so the layer, once off, stays off.
 
 Contact detection never looks at all n^2 pairs of a tick.  It runs over a
-block of consecutive ticks of the trace at a time, and starts with a broad
-phase: each node's bounding box over the block, padded by the range, and
-the pairs whose boxes overlap on x and on y (one sort and one search over
-the box minima).  A block with at most as many such pairs as nodes, as in
-a sparse arena, gets the exact squared-distance test on those pairs alone,
-at every tick of the block.  Any other block, where nodes crowd or roam,
-takes a sort on x at every tick and a sweep over the x neighbours within
-range, keeping the pairs whose x gap and y gap are both within range, and
-the exact test on those, in a fixed number of array operations per sweep
+block of consecutive ticks of the trace at a time, read through
+:meth:`dtnsim.mobility.Trace.block`: a generated trace samples each block
+from its nodes' leg tables when it is read, so a run on one holds no ticks
+x nodes array of positions.  Detection starts with a broad phase: each
+node's bounding box over the block, padded by the range, and the pairs
+whose boxes overlap on x and on y (one sort and one search over the box
+minima).  A block with at most as many such pairs as nodes, as in a sparse
+arena, gets the exact squared-distance test on those pairs alone, at every
+tick of the block.  Any other block, where nodes crowd or roam, takes a
+sort on x at every tick and a sweep over the x neighbours within range,
+keeping the pairs whose x gap and y gap are both within range, and the
+exact test on those, in a fixed number of array operations per sweep
 offset.  Both candidate sets are conservative supersets.  Both paths stay
 because each is the faster one on some input: the box path where boxes
 rarely overlap, the sweep where they overlap widely.  The
@@ -126,6 +129,7 @@ from dtnsim.mobility import (
     Arena,
     Trace,
     WaypointParams,
+    block_ticks,
     check_finite,
     generate_trace,
     load_trace,
@@ -258,9 +262,10 @@ class ContactTracker:
     range, with the departure stamped at the first missed tick.
 
     Only open contacts are stored.  The in-range pairs are found a block of
-    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`), by one of two
-    paths, each of which finds a conservative superset of the in-range
-    pairs and applies the exact squared-distance test to it alone:
+    consecutive ticks at a time (see :data:`BLOCK_SAMPLES`), each block read
+    by :meth:`Trace.block` (which samples it, for a generated trace), by one
+    of two paths, each of which finds a conservative superset of the
+    in-range pairs and applies the exact squared-distance test to it alone:
 
     * Box path: each node's bounding box over the block, padded by the
       sweep's reach, and the pairs whose boxes overlap on x and on y, from
@@ -282,11 +287,9 @@ class ContactTracker:
     box path outgrows the block.
     """
 
-    def __init__(
-        self, positions: np.ndarray, comm_range: float, missed_hello_limit: int
-    ) -> None:
-        """``positions[tick, node] -> (x, y)``, finite: the sweep orders nodes by x."""
-        self.positions = positions
+    def __init__(self, trace: Trace, comm_range: float, missed_hello_limit: int) -> None:
+        """Contacts on ``trace``, whose coordinates are finite: the sweep orders nodes by x."""
+        self.trace = trace
         self.range_sq = comm_range * comm_range
         self.limit = missed_hello_limit
         # Reach on x and y of the sweep and of the boxes.  A pair passing the
@@ -298,7 +301,7 @@ class ContactTracker:
         # pair.
         self.reach = math.sqrt(self.range_sq) * (1.0 + 1e-9) + 1e-150
         #: ticks per detection block
-        self.block_ticks = max(1, BLOCK_SAMPLES // max(1, positions.shape[1]))
+        self.block_ticks = block_ticks(trace.node_count)
         #: in-range pairs of ticks block_start, block_start + 1, ...
         self._block: list[list[tuple[NodeId, NodeId]]] = []
         self._block_start = 0
@@ -308,7 +311,7 @@ class ContactTracker:
     def _detect(self, start: int) -> None:
         """In-range pairs, ascending ``(u, v)`` with ``u < v``, of each tick
         of the block starting at ``start``."""
-        block = self.positions[start : start + self.block_ticks]
+        block = self.trace.block(start, start + self.block_ticks)
         candidates = self._box_candidates(block)
         if candidates is None:
             row, u, v = self._sweep_pairs(block)
@@ -760,9 +763,7 @@ class Timeline:
         if self.trace.tick_count == 0:
             raise ValueError("trace holds no ticks")
         self.nodes = [_Node(i) for i in range(config.node_count)]
-        self.tracker = ContactTracker(
-            self.trace.positions, config.comm_range, config.missed_hello_limit
-        )
+        self.tracker = ContactTracker(self.trace, config.comm_range, config.missed_hello_limit)
 
         #: the nodes the next hello phase maintains
         self._dirty: set[NodeId] = set()

@@ -1,16 +1,18 @@
 """Random-waypoint trace generation and the on-disk trace format.
 
-Traces are dense: one (x, y) sample per node per tick.  Generation is fully
-determined by the seed; per-node RNG streams are spawned from a single
-``numpy.random.SeedSequence`` over PCG64, so traces reproduce bit-for-bit
-for a fixed numpy generation scheme.
+A trace is one (x, y) sample per node per tick, read a block of ticks at a
+time (:meth:`Trace.block`): contact detection (``dtnsim.engine``) and
+:func:`save_trace` read nothing else.  A loaded or hand-built trace holds
+the whole array and slices it.  A generated trace holds only each node's
+walk, as a table of legs and pauses, and samples a block from it when the
+block is read, so its memory follows legs plus one block, not ticks times
+nodes; ``positions`` is built only for a caller that reads it.
 
-A node's walk is built as a table of legs and pauses in plain Python, from
-doubles its stream draws in batches (``rng.random``; each is the double one
-``rng.uniform`` call would use).  The samples are then filled in with array
-operations, a group of nodes of about :data:`BLOCK_SAMPLES` samples at a
-time, so the work follows legs plus samples and the temporary arrays stay
-small.
+Generation is fully determined by the seed; per-node RNG streams are
+spawned from a single ``numpy.random.SeedSequence`` over PCG64, so traces
+reproduce bit-for-bit for a fixed numpy generation scheme.  A node's leg
+table is built in plain Python, from doubles its stream draws in batches
+(``rng.random``; each is the double one ``rng.uniform`` call would use).
 
 File format: a header line ``nodes=<n> duration=<s> tick=<s>`` followed by
 CSV rows ``t,node,x,y`` (t in tick multiples, coordinates in meters with at
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 
 import numpy as np
 
@@ -66,16 +69,25 @@ class WaypointParams:
 
 @dataclass(frozen=True)
 class Trace:
-    """Positions indexed as positions[tick_index, node] -> (x, y)."""
+    """Positions indexed as positions[tick_index, node] -> (x, y).
+
+    Readers take a block of ticks at a time with :meth:`block`.  This class
+    holds the whole array; :func:`generate_trace` returns a trace that
+    samples its blocks from each node's walk instead.
+    """
 
     node_count: int
     duration: float
     tick: float
-    positions: np.ndarray
+    positions: np.ndarray = field(repr=False)
 
     @property
     def tick_count(self) -> int:
         return self.positions.shape[0]
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """``positions[start:stop]``, for ``0 <= start <= stop``."""
+        return self.positions[start:stop]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -89,7 +101,17 @@ class Trace:
 
 
 def check_finite(trace: Trace) -> None:
-    """Raise TraceError naming the first (tick, node) with a non-finite coordinate."""
+    """Raise TraceError naming ``positions``' shape unless it is (ticks,
+    node_count, 2), or else the first (tick, node) with a non-finite
+    coordinate.  A generated trace is sampled from waypoints in its arena,
+    in that shape, so it is not read here."""
+    if isinstance(trace, _Walks):
+        return
+    shape = np.shape(trace.positions)
+    if len(shape) != 3 or shape[1:] != (trace.node_count, 2):
+        raise TraceError(
+            f"positions has shape {shape}, expected (ticks, {trace.node_count}, 2)"
+        )
     bad = ~np.isfinite(trace.positions).all(axis=-1)
     if bad.any():
         idx, node = map(int, np.argwhere(bad)[0])
@@ -102,13 +124,21 @@ def sample_count(duration: float, tick: float) -> int:
 
 
 def _sample_times(duration: float, tick: float) -> np.ndarray:
-    return np.arange(sample_count(duration, tick)) * tick
+    times = np.arange(sample_count(duration, tick), dtype=float)
+    times *= tick
+    return times
 
 
-#: node-samples per block of work: trace generation samples groups of nodes
-#: of about this many samples, and contact detection (``dtnsim.engine``)
-#: takes blocks of ``BLOCK_SAMPLES // node_count`` ticks (at least one)
+#: node-samples per block of work: contact detection (``dtnsim.engine``) and
+#: :func:`save_trace` read blocks of ``BLOCK_SAMPLES // node_count`` ticks
+#: (at least one)
 BLOCK_SAMPLES = 2**13
+
+
+def block_ticks(node_count: int) -> int:
+    """Ticks per block of a trace of ``node_count`` nodes."""
+    return max(1, BLOCK_SAMPLES // max(1, node_count))
+
 
 #: doubles drawn from a node's stream per ``rng.random`` call
 _DRAW_BATCH = 64
@@ -155,44 +185,79 @@ def _legs(rng: np.random.Generator, params: WaypointParams, t_last: float, table
             return
 
 
-def _sample_walks(
-    rngs: Sequence[np.random.Generator], params: WaypointParams, times: np.ndarray
-) -> np.ndarray:
-    """``positions[tick, node]`` of one random-waypoint walk per stream of ``rngs``.
+class _Walks(Trace):
+    """A generated trace: the random-waypoint walk of each stream of
+    ``rngs`` as a segment table (see :func:`_legs`), sampled a block at a
+    time, and ``positions`` built on first read."""
 
-    Each sample lies on the segment that covers its time, at
-    ``from * (1 - f) + to * f`` with ``f = (t - start) / travel``: exact
-    endpoints at f = 0 and f = 1, and a pause's waypoint at f = 0.  Nodes are
-    sampled in groups of about :data:`BLOCK_SAMPLES` samples, so the
-    per-sample arrays stay small however long the trace.
-    """
-    ticks = len(times)
-    t_last = float(times[-1])
-    positions = np.empty((ticks, len(rngs), 2))
-    group = max(1, BLOCK_SAMPLES // ticks)
-    for first in range(0, len(rngs), group):
+    def __init__(
+        self, rngs: Sequence[np.random.Generator], params: WaypointParams, duration: float, tick: float
+    ) -> None:
+        # frozen fields, set as the dataclass's own __init__ sets them
+        for name, value in (("node_count", len(rngs)), ("duration", duration), ("tick", tick)):
+            object.__setattr__(self, name, value)
+        self._ticks = sample_count(duration, tick)
         table: list = []
         heads = []
-        for rng in rngs[first : first + group]:
+        for rng in rngs:
             heads.append(len(table))
-            _legs(rng, params, t_last, table)
-        start, travel, from_x, from_y, to_x, to_y, end = np.array(table).T
-        # a segment covers the samples up to its end that no earlier one
-        # covers; a node's last segment covers the trace's last sample
-        cover = np.diff(np.searchsorted(times, end, side="right"), prepend=0)
+            _legs(rng, params, (self._ticks - 1) * tick, table)
+        heads.append(len(table))
+        segments = np.array(table, dtype=float).reshape(-1, 7).T
+        del table  # the largest allocation here: free it before the tick grid
+        #: start, travel, from_x, from_y, to_x, to_y of every segment
+        self._segments = np.ascontiguousarray(segments[:6])
+        # A segment covers the samples up to its end that no earlier one
+        # covers, and a node's last segment ends at or after the last
+        # sample.  Key each segment by its node and the samples up to its
+        # end, so one search finds each node's segment covering a tick.
+        owner = np.repeat(np.arange(len(rngs)), np.diff(heads))
+        self._base = np.arange(len(rngs)) * (self._ticks + 1)
+        self._stop = np.searchsorted(_sample_times(duration, tick), segments[6], side="right")
+        self._key = self._base[owner] + self._stop
+
+    @property
+    def tick_count(self) -> int:
+        return self._ticks
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return self.block(0, self._ticks)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """``positions[start:stop]``, sampled from the segments.
+
+        Each sample lies on the segment that covers its time, at
+        ``from * (1 - f) + to * f`` with ``f = (t - start) / travel``:
+        exact endpoints at f = 0 and f = 1, and a pause's waypoint at
+        f = 0.  Each node's covering segments are found once per block.
+        """
+        stop = min(stop, self._ticks)
+        ticks, n = max(0, stop - start), self.node_count
+        out = np.empty((ticks, n, 2))
+        if not ticks:
+            return out
+        # each node's segments covering ticks start ... stop - 1, in turn
+        lo = np.searchsorted(self._key, self._base + start, side="right")
+        runs = np.searchsorted(self._key, self._base + (stop - 1), side="right") + 1 - lo
+        heads = np.cumsum(runs) - runs
+        seg = np.arange(int(runs.sum())) + np.repeat(lo - heads, runs)
+        # the ticks of the block each covers; a node's last one reaches stop
+        cover = np.diff(np.minimum(self._stop.take(seg), stop), prepend=start)
         cover[heads[1:]] += ticks
-        shape = (len(heads), ticks)
-        f = times - start.repeat(cover).reshape(shape)
+        begin, travel, from_x, from_y, to_x, to_y = np.take(self._segments, seg, axis=1)
+        shape = (n, ticks)
+        f = np.arange(start, stop) * self.tick - begin.repeat(cover).reshape(shape)
         f /= travel.repeat(cover).reshape(shape)
         g = 1.0 - f
-        out = positions[:, first : first + len(heads)].transpose(1, 0, 2)
-        for axis, ends in enumerate(((from_x, to_x), (from_y, to_y))):
-            a = ends[0].repeat(cover).reshape(shape)
+        by_node = out.transpose(1, 0, 2)
+        for axis, (origin, target) in enumerate(((from_x, to_x), (from_y, to_y))):
+            a = origin.repeat(cover).reshape(shape)
             a *= g
-            b = ends[1].repeat(cover).reshape(shape)
+            b = target.repeat(cover).reshape(shape)
             b *= f
-            np.add(a, b, out=out[:, :, axis])
-    return positions
+            np.add(a, b, out=by_node[:, :, axis])
+        return out
 
 
 def generate_trace(
@@ -205,9 +270,12 @@ def generate_trace(
     uniform in the arena, each leg's speed uniform in [speed_min,
     speed_max], and each arrival is followed by ``pause`` seconds at the
     waypoint.  The walk becomes a leg table (see :func:`_legs`), and the
-    samples are filled in a group of nodes at a time (see
-    :func:`_sample_walks`).  A node's path depends on neither the node
-    count nor the duration, so a shorter trace is a prefix of a longer one.
+    trace samples a block of ticks from the tables when it is read.  A
+    node's path depends on neither the node count nor the duration, so a
+    shorter trace is a prefix of a longer one.  ``dataclasses.replace``
+    does not apply to the trace returned; ``Trace(trace.node_count,
+    trace.duration, trace.tick, trace.positions)`` is a copy that holds
+    the array.
     """
     if node_count < 0:
         raise ValueError("node_count must be non-negative")
@@ -215,8 +283,7 @@ def generate_trace(
         raise ValueError("duration and tick must be positive")
     streams = np.random.SeedSequence(params.seed).spawn(node_count)
     rngs = [np.random.Generator(np.random.PCG64(stream)) for stream in streams]
-    positions = _sample_walks(rngs, params, _sample_times(duration, tick))
-    return Trace(node_count=node_count, duration=float(duration), tick=float(tick), positions=positions)
+    return _Walks(rngs, params, float(duration), float(tick))
 
 
 # -- file format ---------------------------------------------------------------
@@ -237,14 +304,23 @@ def _fmt(x: float) -> str:
 
 
 def save_trace(trace: Trace, path: str) -> None:
-    times = _sample_times(trace.duration, trace.tick)
+    """Write ``trace`` to ``path``, reading it a block of ticks at a time.
+
+    Raises TraceError, before writing, unless the trace holds the ticks its
+    duration and tick give, as :func:`load_trace` requires."""
+    ticks, step = sample_count(trace.duration, trace.tick), block_ticks(trace.node_count)
+    if trace.tick_count != ticks:
+        raise TraceError(
+            f"trace holds {trace.tick_count} ticks, but duration {trace.duration!r} "
+            f"at tick {trace.tick!r} gives {ticks}"
+        )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"nodes={trace.node_count} duration={trace.duration!r} tick={trace.tick!r}\n")
-        for idx, t in enumerate(times):
-            t_label = repr(float(t))
-            for node in range(trace.node_count):
-                x, y = trace.positions[idx, node]
-                fh.write(f"{t_label},{node},{_fmt(x)},{_fmt(y)}\n")
+        for first in range(0, ticks, step):
+            for idx, frame in enumerate(trace.block(first, first + step).tolist(), first):
+                t_label = repr(float(idx * trace.tick))
+                for node, (x, y) in enumerate(frame):
+                    fh.write(f"{t_label},{node},{_fmt(x)},{_fmt(y)}\n")
 
 
 def load_trace(path: str) -> Trace:

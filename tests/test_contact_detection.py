@@ -25,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dtnsim.engine import BLOCK_SAMPLES, ContactEvent, ContactEventKind, ContactTracker
+from dtnsim.mobility import Arena, Trace, WaypointParams, generate_trace
 
 
 class DenseTracker:
@@ -111,11 +112,17 @@ def scenario(draw):
     return r, limit, [np.array(pool[i]) for i in order]
 
 
+def trace_of(frames):
+    """A trace replaying ``frames`` (``frames[tick][node] -> (x, y)``), one tick a second."""
+    positions = np.array(frames, dtype=float)
+    return Trace(len(positions[0]), float(len(positions) - 1), 1.0, positions)
+
+
 def replay(frames, r, limit, block_ticks=None, sweep=False):
     """``(events, pairs)`` of every tick of ``frames``, detected
     ``block_ticks`` ticks at a time (default: the tracker's own), every
     block by the sweep when ``sweep``."""
-    tracker = ContactTracker(np.array(frames), r, limit)
+    tracker = ContactTracker(trace_of(frames), r, limit)
     if block_ticks is not None:
         tracker.block_ticks = block_ticks
     if sweep:
@@ -167,7 +174,7 @@ def check_both_paths(frames, r, limit, block_ticks=None):
 def test_sweep_tracker_matches_dense_reference(case):
     r, limit, frames = case
     n = len(frames[0])
-    sparse = ContactTracker(np.array(frames), r, limit)
+    sparse = ContactTracker(trace_of(frames), r, limit)
     dense = DenseTracker(n, r, limit)
     for idx, coords in enumerate(frames):
         now = float(idx)
@@ -292,10 +299,10 @@ def test_block_length_follows_node_samples():
         (200, BLOCK_SAMPLES // 200),
         (BLOCK_SAMPLES + 1, 1),
     ]:
-        tracker = ContactTracker(np.zeros((3, n, 2)), 3.0, 3)
+        tracker = ContactTracker(trace_of(np.zeros((3, n, 2))), 3.0, 3)
         assert tracker.block_ticks == ticks
     # a trace without nodes has no pairs and no events on any tick
-    tracker = ContactTracker(np.zeros((5, 0, 2)), 3.0, 3)
+    tracker = ContactTracker(trace_of(np.zeros((5, 0, 2))), 3.0, 3)
     assert [tracker.update(idx, float(idx)) for idx in range(5)] == [([], [])] * 5
     # a block never runs past the trace's end
     frames = [[(0.0, 0.0), (1.0, 0.0)]] * 3
@@ -303,7 +310,7 @@ def test_block_length_follows_node_samples():
 
 
 def test_each_block_is_detected_once():
-    tracker = ContactTracker(np.zeros((10, 2, 2)), 3.0, 3)
+    tracker = ContactTracker(trace_of(np.zeros((10, 2, 2))), 3.0, 3)
     tracker.block_ticks = 4
     starts = []
     detect = tracker._detect
@@ -389,3 +396,27 @@ def test_every_x_tied_matches_dense_reference(case):
     expected = dense_replay(frames, r, limit)
     for ticks in (1, block, None):
         assert replay(frames, r, limit, ticks) == expected, f"{ticks} ticks per block"
+
+
+def test_a_generated_trace_detects_as_its_positions_array():
+    # A tracker over a generated trace, whose blocks are sampled from its
+    # walks, against one over the same positions held as an array: sparse
+    # walks and crowded ones, with pauses, at the default block length
+    # (where the sparse ones reach the box path and the crowded ones the
+    # sweep) and at lengths that cut legs and contacts anywhere.
+    for arena, nodes, path in [(Arena(1000, 1500), 200, "_box_pairs"), (Arena(60, 40), 25, "_sweep_pairs")]:
+        walks = generate_trace(WaypointParams(arena, 1.0, 3.0, 2.0, seed=3), nodes, 300, 0.5)
+        held = Trace(walks.node_count, walks.duration, walks.tick, walks.positions)
+        for block_ticks in (None, 1, 7):
+            trackers = [ContactTracker(trace, 10.0, 3) for trace in (walks, held)]
+            if block_ticks is not None:
+                for tracker in trackers:
+                    tracker.block_ticks = block_ticks
+            events = 0
+            with paths() as seen:
+                for idx in range(walks.tick_count):
+                    got, expected = (tracker.update(idx, idx * 0.5) for tracker in trackers)
+                    assert got == expected, (nodes, block_ticks, idx)
+                    events += len(got[0])
+            assert events > 0, (nodes, block_ticks)
+            assert block_ticks is not None or seen[path] > 0, nodes

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from dtnsim.engine import (
     schedule_messages,
     summarize,
 )
-from dtnsim.mobility import Trace, save_trace
+from dtnsim.mobility import Trace, TraceError, save_trace
 from dtnsim.routing import Message, Protocol
 
 from checked import CheckedTimeline, checking
@@ -140,6 +141,16 @@ def test_simulation_rejects_non_finite_trace(value):
         Simulation(cfg, trace=trace)
 
 
+@pytest.mark.parametrize("shape", [(20, 2, 3), (20, 2), (20, 3, 2)])
+def test_simulation_rejects_trace_positions_of_another_shape(shape):
+    # two nodes: (x, y, z) rows, no coordinate axis, and a third node
+    trace = Trace(node_count=2, duration=19.0, tick=1.0, positions=np.zeros(shape))
+    cfg = SimConfig(node_count=2, message_count=1, window_size=10.0, generation_span=1.0)
+    expected = re.escape(f"positions has shape {shape}, expected (ticks, 2, 2)")
+    with pytest.raises(TraceError, match=expected):
+        Simulation(cfg, trace=trace)
+
+
 def test_simulation_rejects_trace_with_another_tick(tmp_path):
     # a 2 s trace replayed on a 1 s grid would move every node twice as fast
     trace = replace(still_trace([(0.0, 0.0), (1.0, 0.0)], ticks=4), tick=2.0, duration=6.0)
@@ -158,13 +169,13 @@ def test_simulation_rejects_trace_with_another_tick(tmp_path):
 
 def tracker_over(frames, comm_range=3.0, missed_hello_limit=3):
     """A tracker replaying ``frames``, one (x, y) row per node each tick."""
-    return ContactTracker(np.array(frames, dtype=float), comm_range, missed_hello_limit)
+    return ContactTracker(path_trace(frames), comm_range, missed_hello_limit)
 
 
 def contact_events(sim):
     """Contact events of ``sim``'s ticks, from a fresh tracker over its trace."""
     cfg = sim.cfg
-    tracker = ContactTracker(sim.trace.positions, cfg.comm_range, cfg.missed_hello_limit)
+    tracker = ContactTracker(sim.trace, cfg.comm_range, cfg.missed_hello_limit)
     events = []
     for idx in range(round(sim.now / cfg.tick) + 1):
         events += tracker.update(idx, idx * cfg.tick)[0]
@@ -341,6 +352,19 @@ def test_timeline_memory_grows_with_nodes_not_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_building_a_long_run_holds_no_positions_array():
+    # 25 nodes over 1,001,603 ticks: a positions array would take 382 MiB;
+    # the leg tables and one sampled block take about 13 MiB at their peak
+    tracemalloc.start()
+    try:
+        sim = Simulation(SimConfig(ttl=1e6, message_count=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim.trace.tick_count == 1_001_603
+    assert peak < 64 * 2**20
 
 
 # -- whole-run invariants ----------------------------------------------------------------

@@ -85,7 +85,7 @@ def expected_steps(sim, timeline, log):
         for m in sim.messages
     ]
     finish = min(max(resolved), sim._end - 1)
-    tracker = ContactTracker(timeline.trace.positions, cfg.comm_range, cfg.missed_hello_limit)
+    tracker = ContactTracker(timeline.trace, cfg.comm_range, cfg.missed_hello_limit)
     steps = [idx for idx in range(finish) if tracker.update(idx, idx * tick)[1]]
     return steps + [finish]
 

@@ -10,12 +10,14 @@ from dtnsim.mobility import (
     Arena,
     IncompleteTraceError,
     Trace,
+    TraceError,
     TraceFormatError,
     WaypointParams,
     _sample_times,
-    _sample_walks,
+    _Walks,
     generate_trace,
     load_trace,
+    sample_count,
     save_trace,
 )
 
@@ -104,6 +106,14 @@ def test_zero_nodes_is_a_valid_trace():
     assert t.positions.shape == (11, 0, 2)
 
 
+def test_a_generated_trace_builds_positions_only_when_read():
+    t = generate_trace(params(seed=9), 6, 120, 1.0)
+    assert repr(t) == "_Walks(node_count=6, duration=120.0, tick=1.0)"
+    assert "positions" not in vars(t)
+    assert t.positions.shape == (121, 6, 2)
+    assert "positions" in vars(t)
+
+
 def test_positions_stay_inside_the_arena():
     t = generate_trace(params(seed=3), 8, 400, 1.0)
     xs, ys = t.positions[:, :, 0], t.positions[:, :, 1]
@@ -135,11 +145,10 @@ class ScriptedRng:
 
 def test_straight_segment_kinematics():
     # 10 m at 1 m/s: arrival exactly 10 ticks after departure
-    times = np.arange(26) * 1.0
-    # in a 20 x 40 arena: start (0, 0); leg to (10, 0) at speed 1; then to
-    # (10, 5) at speed 1; then towards (10, 20)
+    # 26 ticks of 1 s; in a 20 x 40 arena: start (0, 0); leg to (10, 0) at
+    # speed 1; then to (10, 5) at speed 1; then towards (10, 20)
     rng = ScriptedRng([0.0, 0.0, 0.5, 0.0, 0.5, 0.5, 0.125, 0.5, 0.5, 0.5, 0.5])
-    out = _sample_walks([rng], params(arena=Arena(20, 40)), times)[:, 0]
+    out = _Walks([rng], params(arena=Arena(20, 40)), 25.0, 1.0).positions[:, 0]
     for k in range(11):
         assert out[k, 0] == pytest.approx(float(k), abs=1e-12)
         assert out[k, 1] == 0.0
@@ -153,9 +162,8 @@ def test_a_waypoint_on_the_current_position_is_drawn_again():
     script = [0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.75, 0.25, 0.5]
     script += [0.75, 0.25, 0.75, 0.75, 0.1]
     p = WaypointParams(Arena(20, 40), 0.5, 2.5, 1.5, seed=0)
-    times = np.arange(41) * 0.5
-    got = _sample_walks([ScriptedRng(script)], p, times)[:, 0]
-    expected = _walk(ScriptedRng(script), p, times)
+    got = _Walks([ScriptedRng(script)], p, 20.0, 0.5).positions[:, 0]
+    expected = _walk(ScriptedRng(script), p, np.arange(41) * 0.5)
     assert got.tobytes() == expected.tobytes()
     assert tuple(got[0]) == (5.0, 10.0)
     assert got[1, 0] > 5.0 and got[1, 1] == pytest.approx(10.0)  # heading for (15, 10)
@@ -183,8 +191,45 @@ def test_trace_matches_the_leg_by_leg_reference(case):
     assert got.tobytes() == reference_trace(p, nodes, duration, tick).tobytes()
 
 
+@st.composite
+def block_case(draw):
+    """A walk, and reads of its ticks: blocks ``[a, b)`` in a drawn order,
+    of drawn lengths, some running past the last tick; then the whole trace
+    in consecutive blocks of a drawn length."""
+    if draw(st.booleans()):
+        p, nodes, duration, tick = draw(walk_case())
+    else:
+        # fast nodes in a small arena: a block holds many legs and pauses
+        arena = Arena(draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0)))
+        speed_min = draw(st.floats(2.0, 20.0))
+        speed_max = draw(st.one_of(st.just(speed_min), st.floats(speed_min, 40.0)))
+        pause = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+        p = WaypointParams(arena, speed_min, speed_max, pause, draw(st.integers(0, 2**32 - 1)))
+        nodes = draw(st.sampled_from([1, 2, 7, 30]))
+        tick = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
+        duration = draw(st.floats(tick, 120.0))
+    ticks = sample_count(duration, tick)
+    reads = draw(
+        st.lists(st.tuples(st.integers(0, ticks + 1), st.integers(0, 80)), min_size=1, max_size=6)
+    )
+    return p, nodes, duration, tick, [(a, a + length) for a, length in reads], draw(st.integers(1, 80))
+
+
+@given(block_case())
+def test_a_block_matches_the_reference_slice(case):
+    p, nodes, duration, tick, reads, length = case
+    trace = generate_trace(p, nodes, duration, tick)
+    expected = reference_trace(p, nodes, duration, tick)
+    for a, b in reads:
+        assert trace.block(a, b).tobytes() == expected[a:b].tobytes(), (a, b)
+    ticks = trace.tick_count
+    assert ticks == len(expected)
+    for a in range(0, ticks, length):
+        assert trace.block(a, a + length).tobytes() == expected[a : a + length].tobytes(), a
+
+
 def test_many_nodes_across_sample_groups_match_the_reference():
-    # 2,000 samples per node: groups of four nodes, the last one partial
+    # 2,000 samples per node, sampled as one block when positions is read
     for pause in (0.0, 3.0):
         p = params(seed=5, pause=pause, arena=Arena(40.0, 25))
         got = generate_trace(p, 11, 999.5, 0.5).positions
@@ -230,6 +275,16 @@ def test_coordinates_have_at_least_three_fraction_digits(tmp_path):
     assert rows[0] == "0.0,0,1.500,2.000"
     assert rows[1] == "1.0,0,0.125,3.250"
     assert load_trace(str(path)) == t
+
+
+@pytest.mark.parametrize("ticks", [2, 4])
+def test_save_rejects_a_trace_its_duration_does_not_fit(tmp_path, ticks):
+    # 2 s at 1 s ticks is three samples
+    t = Trace(node_count=1, duration=2.0, tick=1.0, positions=np.zeros((ticks, 1, 2)))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(TraceError, match=f"trace holds {ticks} ticks, but duration 2.0 at tick 1.0 gives 3"):
+        save_trace(t, str(path))
+    assert not path.exists()
 
 
 def test_malformed_row_names_the_line(tmp_path):

@@ -311,7 +311,7 @@ def test_quiet_ticks_are_skipped():
     # the pair ticks before the finish, then the finish: the settle or last tick
     finish = round(sim.now / config.tick)
     assert finish == ticks - 1
-    tracker = ContactTracker(timeline.trace.positions, config.comm_range, config.missed_hello_limit)
+    tracker = ContactTracker(timeline.trace, config.comm_range, config.missed_hello_limit)
     pair_ticks = sum(1 for idx in range(finish) if tracker.update(idx, idx * config.tick)[1])
     assert calls["step"] == pair_ticks + 1 < ticks / 10
 
